@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -48,9 +49,10 @@ def _fmt(x: float) -> str:
 
 
 def _round12(obj):
-    """Recursively round floats to 12 significant digits for JSON output."""
+    """Recursively round floats to 12 significant digits for JSON output;
+    NaN and infinities, which JSON cannot express, become ``None``."""
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return float(_fmt(obj)) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -59,7 +61,7 @@ def _round12(obj):
 
 
 def _emit_json(obj, out) -> None:
-    json.dump(_round12(obj), out, indent=2)
+    json.dump(_round12(obj), out, indent=2, allow_nan=False)
     out.write("\n")
 
 
@@ -113,14 +115,15 @@ def _cmd_run(args, out) -> int:
     traj = dynamics.iterate(q, y0, max_iters=args.max_iters, tol=args.tol,
                             stride=args.stride)
     if args.format == "csv":
-        out.write("iter," + ",".join(f"y{k + 1}" for k in range(q.n)) + "\n")
-        for idx, point in zip(traj.indices, traj.points):
-            out.write(str(int(idx)) + "," + ",".join(_fmt(v) for v in point) + "\n")
+        line = "%d" + ",%.12g" * q.n + "\n"
+        rows = zip(traj.indices.tolist(), traj.points.tolist())
+        out.write("iter," + ",".join(f"y{k + 1}" for k in range(q.n)) + "\n"
+                  + "".join(line % (k, *point) for k, point in rows))
     else:
         _emit_json(
             {
-                "points": [[float(v) for v in point] for point in traj.points],
-                "indices": [int(i) for i in traj.indices],
+                "points": traj.points.tolist(),
+                "indices": traj.indices.tolist(),
                 "converged": traj.converged,
                 "iterations": traj.iterations,
                 "final_residual": traj.final_residual,

@@ -42,6 +42,15 @@ def _as_readonly(values, shape=None) -> np.ndarray:
     return arr
 
 
+def _require_finite(arr: np.ndarray, what: str, error: type[Exception]) -> None:
+    """Reject NaN and infinities: NaN fails every comparison, so range checks
+    alone would accept it."""
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        at = tuple(int(i) for i in np.unravel_index(bad[0], arr.shape))
+        raise error(f"non-finite {what} {arr.flat[bad[0]]} at index {at}")
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A probability distribution over all genotypes of a space, constrained
@@ -54,6 +63,7 @@ class Distribution:
 
     def __post_init__(self):
         vals = _as_readonly(self.values, (self.space.total,))
+        _require_finite(vals, "probability", DistributionOutsideHyperSimplex)
         object.__setattr__(self, "values", vals)
         p, q = self.p_ratio
         if not (0.0 < p < 1.0 and abs(p + q - 1.0) <= MASS_TOL):
@@ -221,9 +231,9 @@ class HeredityTensor:
 
     def __post_init__(self):
         m = self.space.m
-        object.__setattr__(
-            self, "coefficients", _as_readonly(self.coefficients, (m, m, self.space.total))
-        )
+        coeffs = _as_readonly(self.coefficients, (m, m, self.space.total))
+        _require_finite(coeffs, "coefficient", ValueError)
+        object.__setattr__(self, "coefficients", coeffs)
         if self.support is not None:
             sup = np.array(self.support, dtype=bool)
             if sup.shape != (m, m, self.space.total):
@@ -392,6 +402,7 @@ class ReducedQso:
 
     def __post_init__(self):
         arr = _as_readonly(self.p, (self.n, self.n, self.n))
+        _require_finite(arr, "reduced coefficient", ValueError)
         object.__setattr__(self, "p", arr)
         if arr.min() < -1e-12:
             raise ValueError(f"negative reduced coefficient {arr.min()}")
@@ -416,6 +427,7 @@ class ReducedDistribution:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise DimensionMismatch("reduced distribution must be a nonempty vector")
+        _require_finite(vals, "probability", ValueError)
         if vals.min() < -1e-12:
             raise ValueError(f"negative probability {vals.min()}")
         if abs(vals.sum() - 1.0) > MASS_TOL:

@@ -74,6 +74,17 @@ def random_regular_qso(gen: np.random.Generator, n: int) -> ReducedQso:
     return ReducedQso(n, p)
 
 
+def cyclic_shift_operator(n=3):
+    """QSO acting as the coordinate shift y'_k = y_{k-1}: a valid symmetric
+    stochastic tensor whose non-symmetric orbits cycle forever."""
+    p = np.zeros((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            p[i, j, (i + 1) % n] += 0.5
+            p[i, j, (j + 1) % n] += 0.5
+    return ReducedQso(n, p)
+
+
 def random_dominant_alphas(gen: np.random.Generator, n: int = 4,
                            min_gap: float = 0.01) -> np.ndarray:
     """Weights summing to 1/2 whose maximum beats the runner-up by at least

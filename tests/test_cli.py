@@ -117,6 +117,26 @@ def test_fixpoint_nonconvergence_partial_report(capsys):
     assert payload["residual"] > 1e-30
 
 
+def strict_json(text):
+    """Parse JSON, refusing the NaN/Infinity tokens that json.loads accepts."""
+    def refuse(token):
+        raise ValueError(f"{token} is not valid JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_fixpoint_one_allele_space_emits_valid_json(capsys, tmp_path):
+    # one type: the tangent space is empty, so the spectral radius is undefined
+    path = tmp_path / "one.csv"
+    family = qso.MeasureFamily(qso.build_space([["A"]]), np.array([[[0.5, 0.5]]]))
+    qso.save_measure_family(family, path)
+    code, out, _ = run_cli(capsys, "fixpoint", "--coeff-file", str(path))
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["jacobian_spectral_radius"] is None
+    assert payload["classification"] == "undetermined"
+    assert payload["point"] == [1.0]
+
+
 def test_run_then_fixpoint_residual_within_run_tolerance(capsys):
     tol = 1e-10
     code, out, _ = run_cli(capsys, "run", "--model", "abo", "--start", "uniform",

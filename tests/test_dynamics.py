@@ -15,7 +15,7 @@ from qso.dynamics import (
 )
 from qso.errors import AlphaOutOfRange, InvalidCoefficients, NoConvergence
 
-from helpers import random_regular_qso, random_simplex, rng
+from helpers import cyclic_shift_operator, random_regular_qso, random_simplex, rng
 
 
 def quadratic_root(a, b, c):
@@ -24,17 +24,6 @@ def quadratic_root(a, b, c):
     qa, qb, qc = a - 2 * b + c, 2 * b - 2 * c - 1, c
     roots = np.roots([qa, qb, qc])
     return float(next(r.real for r in roots if -1e-12 <= r.real <= 1 + 1e-12))
-
-
-def cyclic_shift_operator(n=3):
-    """QSO acting as the coordinate shift y'_k = y_{k-1}: a valid symmetric
-    stochastic tensor whose non-symmetric orbits cycle forever."""
-    p = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            p[i, j, (i + 1) % n] += 0.5
-            p[i, j, (j + 1) % n] += 0.5
-    return ReducedQso(n, p)
 
 
 # --- iterate -------------------------------------------------------------------

@@ -346,6 +346,45 @@ def test_apply_reduced_stays_on_simplex(n, seed):
     assert out.values.min() >= 0.0
 
 
+# --- non-finite input ----------------------------------------------------------
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_reduced_distribution_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        ReducedDistribution([bad, 0.5])
+    with pytest.raises(ValueError, match="non-finite"):
+        ReducedDistribution([0.5, 0.5, bad])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_reduced_qso_rejects_non_finite(bad):
+    q, _ = qso.rh_model()
+    p = q.p.copy()
+    p[1, 0, 1] = p[0, 1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        qso.ReducedQso(2, p)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_distribution_rejects_non_finite(bad):
+    values = np.full(4, 0.25)
+    values[2] = bad
+    with pytest.raises(DistributionOutsideHyperSimplex, match="non-finite"):
+        Distribution(TRAIT, values)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_heredity_tensor_rejects_non_finite(bad):
+    t = mendelian_coefficients(TRAIT, trait_mu0(0.2))
+    coeffs = t.coefficients.copy()
+    coeffs[0, 1, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        HeredityTensor(TRAIT, (0.5, 0.5), coeffs)
+
+
 # --- lift / fold ----------------------------------------------------------------
 
 def test_lift_fold_examples():
