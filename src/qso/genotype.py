@@ -97,9 +97,6 @@ class GenotypeSpace:
         """Index of the opposite-gender genotype with identical traits."""
         return (index + self.m) % self.total
 
-    def is_female(self, index: int) -> bool:
-        return index < self.m
-
     def trait_label(self, trait_index: int) -> str:
         """Human-readable label of a trait combination (alleles joined by '|')."""
         return "|".join(
@@ -120,10 +117,6 @@ class GenotypeSpace:
     def label(self, index: int) -> str:
         g = self.genotype(index)
         return f"({g.gender},{self.trait_label(self.trait_index(g.traits))})"
-
-    def genotypes(self):
-        """All genotypes in enumeration order."""
-        return [self.genotype(k) for k in range(self.total)]
 
 
 def build_space(components) -> GenotypeSpace:

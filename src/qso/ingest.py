@@ -32,11 +32,11 @@ from .errors import (
     ZeroTotal,
 )
 from .genotype import GENDERS, GenotypeSpace, build_space
+from .operators import TABLE_TOL as LOAD_TOL
 from .operators import MeasureFamily, ValidationReport
 
 MEASURE_HEADER = "mother,father,child_gender,child_type,value"
 COUNTS_HEADER = "mother,father,child_gender,child_type,count"
-LOAD_TOL = 1e-3  # published tables are rounded to ~4 decimals
 
 
 @dataclass(frozen=True)

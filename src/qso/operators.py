@@ -7,13 +7,19 @@ ratio at p:q forever; for the 1:1 case it can be reduced to an n-type
 quadratic stochastic operator acting on the ordinary simplex via
 ``y_k = 2 * x_k``.
 
+Construction and validation are whole-array operations: the Mendelian
+offspring sets of all parent pairs form one boolean mask (an outer product
+of per-component masks), and the validators reduce every pair's row at once.
+Both are bitwise equal to per-pair loops; summing zero-padded rows for the
+offspring-set masses instead would move coefficients by up to 4 ulp.
+
 All types are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,11 +33,14 @@ from .errors import (
     NotOneToOne,
     ZeroMassOffspringSet,
 )
-from .genotype import Genotype, GenotypeSpace, mendelian_offspring_set
+from .genotype import Genotype, GenotypeSpace
 
-MASS_TOL = 1e-9          # construction-time simplex/hyper-simplex tolerance
-SYMMETRY_TOL = 1e-9      # gender-symmetry tolerance for measures
-VALIDATE_TOL = 1e-6      # default tolerance of validate_pq
+# Every tolerance the checks in this module use.
+ROUNDING_TOL = 1e-12  # exact identities up to rounding: p + q = 1, symmetry, >= 0
+MASS_TOL = 1e-9       # construction-time simplex/hyper-simplex tolerance
+SYMMETRY_TOL = 1e-9   # gender-symmetry tolerance for measures
+VALIDATE_TOL = 1e-6   # default tolerance of validate_pq
+TABLE_TOL = 1e-3      # published tables are rounded to ~4 decimals (ingest.LOAD_TOL)
 
 
 def _as_readonly(values, shape=None) -> np.ndarray:
@@ -70,7 +79,7 @@ class Distribution:
             raise DistributionOutsideHyperSimplex(
                 f"invalid sex ratio p={p}, q={q}: need 0 < p < 1 and p + q = 1"
             )
-        if vals.min() < -1e-12:
+        if vals.min() < -ROUNDING_TOL:
             raise DistributionOutsideHyperSimplex(
                 f"negative probability {vals.min()} at index {int(vals.argmin())}"
             )
@@ -131,9 +140,6 @@ class MeasureFamily:
             mu[i, j] = np.asarray(row, dtype=float)
         return cls(space, mu)
 
-    def measure(self, mother_trait: int, father_trait: int) -> np.ndarray:
-        return self.mu[mother_trait, father_trait]
-
     def missing_pairs(self) -> list[tuple[int, int]]:
         bad = np.isnan(self.mu).any(axis=2)
         return [(int(i), int(j)) for i, j in np.argwhere(bad)]
@@ -149,40 +155,26 @@ class MeasureFamily:
             raise ZeroMassOffspringSet("cannot renormalize a zero-mass measure row")
         return MeasureFamily(self.space, self.mu / sums)
 
-    def validate(self, tol: float = 1e-3) -> list["Violation"]:
+    def validate(self, tol: float = TABLE_TOL) -> list["Violation"]:
         """Report invariant violations: coverage, negativity, row sums,
         gender symmetry.
         """
-        m = self.space.m
-        out = []
-        for i, j in self.missing_pairs():
-            out.append(Violation("missing", (i, j), None, float("nan"),
-                                 f"pair ({self._plabel(i, j)}) has no measure"))
+        space = self.space
+        out = [Violation("missing", (i, j), None, float("nan"),
+                         f"pair ({_pair_label(space, i, j)}) has no measure")
+               for i, j in self.missing_pairs()]
+        messages = {"negative": "has negative value {value}",
+                    "normalization": "sums to {value}, expected 1",
+                    "ratio": "female/male children differ by {value}"}
         with np.errstate(invalid="ignore"):
-            for i in range(m):
-                for j in range(m):
-                    row = self.mu[i, j]
-                    if np.isnan(row).any():
-                        continue
-                    neg = row.min()
-                    if neg < -tol:
-                        out.append(Violation(
-                            "negative", (i, j), int(row.argmin()), float(neg),
-                            f"pair ({self._plabel(i, j)}) has negative value {neg}"))
-                    total = row.sum()
-                    if abs(total - 1.0) > tol:
-                        out.append(Violation(
-                            "normalization", (i, j), None, float(abs(total - 1.0)),
-                            f"pair ({self._plabel(i, j)}) sums to {total}, expected 1"))
-                    gap = np.abs(row[:m] - row[m:]).max()
-                    if gap > tol:
-                        out.append(Violation(
-                            "gender-symmetry", (i, j), None, float(gap),
-                            f"pair ({self._plabel(i, j)}) female/male children differ by {gap}"))
-        return out
+            found = _pair_violations(space, self.mu, tol, 1.0, (1.0, 1.0), messages)
+        # with unit weights the ratio check is the gender-symmetry check
+        return out + [replace(v, kind="gender-symmetry", child=None)
+                      if v.kind == "ratio" else v for v in found]
 
-    def _plabel(self, i: int, j: int) -> str:
-        return f"{self.space.trait_label(i)} x {self.space.trait_label(j)}"
+
+def _pair_label(space: GenotypeSpace, i: int, j: int) -> str:
+    return f"{space.trait_label(i)} x {space.trait_label(j)}"
 
 
 @dataclass(frozen=True)
@@ -241,7 +233,7 @@ class HeredityTensor:
             sup.setflags(write=False)
             object.__setattr__(self, "support", sup)
         p, q = self.p_ratio
-        if not (0.0 < p < 1.0 and 0.0 < q < 1.0 and abs(p + q - 1.0) <= 1e-12):
+        if not (0.0 < p < 1.0 and 0.0 < q < 1.0 and abs(p + q - 1.0) <= ROUNDING_TOL):
             raise ValueError(f"invalid p:q ratio ({p}, {q})")
 
     @property
@@ -288,21 +280,33 @@ def mendelian_coefficients(space: GenotypeSpace, mu0: Distribution) -> HeredityT
         raise DimensionMismatch("base measure was built for a different space")
     _require_symmetric_base(mu0)
     m = space.m
-    coeffs = np.zeros((m, m, space.total))
-    support = np.zeros((m, m, space.total), dtype=bool)
-    for i in range(m):
-        mother = Genotype("f", space.traits_of(i))
-        for j in range(m):
-            father = Genotype("m", space.traits_of(j))
-            members = sorted(mendelian_offspring_set(space, mother, father))
-            mass = mu0.values[members].sum()
-            if mass <= 0.0:
-                raise ZeroMassOffspringSet(
-                    f"offspring set of pair ({space.trait_label(i)} x "
-                    f"{space.trait_label(j)}) has zero base-measure mass"
-                )
-            coeffs[i, j, members] = 2.0 * mu0.values[members] / mass
-            support[i, j, members] = True
+    # support[i, j, t]: each allele of child traits t is the mother's or the
+    # father's; an outer product of per-component masks (last one first)
+    support = np.ones((1, 1, 1), dtype=bool)
+    for comp in reversed(space.components):
+        a = np.arange(len(comp))
+        mask = (a == a[:, None, None]) | (a == a[:, None])   # [mother, father, child]
+        n, k = len(comp), support.shape[0]
+        support = (mask[:, None, :, None, :, None]
+                   & support[None, :, None, :, None, :]).reshape(n * k, n * k, n * k)
+    support = np.concatenate([support, support], axis=2)      # both child genders
+    # sum each offspring set as one gathered row, as the per-pair formula
+    # does: zero-padded rows would regroup NumPy's pairwise sum (by <= 4 ulp)
+    sizes = support.sum(axis=2)
+    mass = np.empty((m, m))
+    for size in np.unique(sizes):
+        pairs = sizes == size
+        values = np.broadcast_to(mu0.values, (np.count_nonzero(pairs), space.total))
+        mass[pairs] = values[support[pairs]].reshape(-1, size).sum(axis=1)
+    zero = np.flatnonzero(mass <= 0.0)
+    if zero.size:
+        i, j = divmod(int(zero[0]), m)
+        raise ZeroMassOffspringSet(
+            f"offspring set of pair ({_pair_label(space, i, j)}) has zero base-measure mass"
+        )
+    coeffs = np.where(support, mu0.values, 0.0)
+    coeffs *= 2.0
+    coeffs /= mass[:, :, None]
     return HeredityTensor(space, (0.5, 0.5), coeffs, support)
 
 
@@ -328,7 +332,7 @@ def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> He
         raise AsymmetricMeasure(f"family female/male child values differ by {gap}")
     sums = family.mu.sum(axis=2)
     worst = np.abs(sums - 1.0).max()
-    if worst > 1e-3:
+    if worst > TABLE_TOL:
         raise ValueError(
             f"measure rows deviate from unit mass by {worst}; renormalize first"
         )
@@ -336,45 +340,66 @@ def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> He
                           np.ones((m, m, space.total), dtype=bool))
 
 
+def _pair_violations(space: GenotypeSpace, rows: np.ndarray, tol: float,
+                     expected: float, weights: tuple[float, float], messages: dict,
+                     support: np.ndarray | None = None) -> list[Violation]:
+    """Check the 2m child values ``rows[i, j]`` of every parent pair with
+    whole-array reductions; the violations, their order and every value are
+    those a loop over single rows finds, to the bit: ``negative``
+    (smallest value), ``normalization`` (row sum against ``expected``),
+    ``ratio`` (largest ``|wq * female - wp * male|`` for ``(wp, wq) = weights``)
+    and ``support`` (largest ``|value|`` off ``support``).  ``messages[kind]``
+    is formatted with the ``value`` and the ``child``'s label.  Rows holding
+    NaN are never flagged: min, sum and argmax propagate NaN.
+    """
+    m = rows.shape[2] // 2
+    wp, wq = weights
+    smallest = rows.min(axis=2)
+    negative = smallest < -tol
+    low = np.zeros(smallest.shape, dtype=np.intp)
+    # argmin of flagged rows only: on a read-only array NumPy copies all of it
+    low[negative] = rows[negative].argmin(axis=1)
+    total = rows.sum(axis=2)
+    miss = np.abs(total - expected)
+    cross = np.multiply(rows[:, :, :m], wq)
+    cross -= np.multiply(rows[:, :, m:], wp)
+    np.abs(cross, out=cross)
+    worst, gap = cross.argmax(axis=2), cross.max(axis=2)
+    del cross  # before the (m, m, 2m) off-support array
+    checks = [("negative", negative, low, smallest, smallest, None),
+              ("normalization", miss > tol, None, miss, total, None),
+              ("ratio", gap > tol, worst, gap, gap, space.trait_label)]
+    if support is not None:
+        off = np.abs(rows)
+        np.copyto(off, 0.0, where=support)
+        far, reach = off.argmax(axis=2), off.max(axis=2)
+        signed = np.take_along_axis(rows, far[..., None], axis=2)[..., 0]
+        checks.append(("support", reach > tol, far, reach, signed, space.label))
+    flagged = np.logical_or.reduce([bad for _, bad, *_ in checks])
+    out = []
+    for i, j in np.argwhere(flagged):
+        for kind, bad, child, magnitude, value, label in checks:
+            if bad[i, j]:
+                k = None if child is None else int(child[i, j])
+                message = messages[kind].format(value=value[i, j],
+                                                child=label(k) if label else None)
+                out.append(Violation(kind, (int(i), int(j)), k, float(magnitude[i, j]),
+                                     f"pair ({_pair_label(space, i, j)}) {message}"))
+    return out
+
+
 def validate_pq(t: HeredityTensor, tol: float = VALIDATE_TOL) -> ValidationReport:
     """Report every violated p:q constraint: negativity, per-pair
     normalization to 1/(2pq), female:male child ratio (as cross-products),
     and support when the tensor declares one.
     """
-    space = t.space
-    m = space.m
     p, q = t.p_ratio
-    out = []
-    for i in range(m):
-        for j in range(m):
-            row = t.coefficients[i, j]
-            label = f"{space.trait_label(i)} x {space.trait_label(j)}"
-            neg = row.min()
-            if neg < -tol:
-                out.append(Violation(
-                    "negative", (i, j), int(row.argmin()), float(neg),
-                    f"pair ({label}) has negative coefficient {neg}"))
-            total = row.sum()
-            if abs(total - t.pair_sum) > tol:
-                out.append(Violation(
-                    "normalization", (i, j), None, float(abs(total - t.pair_sum)),
-                    f"pair ({label}) sums to {total}, expected {t.pair_sum}"))
-            cross = np.abs(q * row[:m] - p * row[m:])
-            k = int(cross.argmax())
-            if cross[k] > tol:
-                out.append(Violation(
-                    "ratio", (i, j), k, float(cross[k]),
-                    f"pair ({label}) child {space.trait_label(k)} breaks the "
-                    f"{p:g}:{q:g} ratio by {cross[k]}"))
-            if t.support is not None:
-                off = np.where(~t.support[i, j], np.abs(row), 0.0)
-                s = int(off.argmax())
-                if off[s] > tol:
-                    out.append(Violation(
-                        "support", (i, j), s, float(off[s]),
-                        f"pair ({label}) has mass {row[s]} on excluded child "
-                        f"{space.label(s)}"))
-    return ValidationReport(tuple(out), tol)
+    messages = {"negative": "has negative coefficient {value}",
+                "normalization": f"sums to {{value}}, expected {t.pair_sum}",
+                "ratio": f"child {{child}} breaks the {p:g}:{q:g} ratio by {{value}}",
+                "support": "has mass {value} on excluded child {child}"}
+    return ValidationReport(tuple(_pair_violations(
+        t.space, t.coefficients, tol, t.pair_sum, (p, q), messages, t.support)), tol)
 
 
 def apply_canonical(t: HeredityTensor, lam: Distribution) -> Distribution:
@@ -404,10 +429,10 @@ class ReducedQso:
         arr = _as_readonly(self.p, (self.n, self.n, self.n))
         _require_finite(arr, "reduced coefficient", ValueError)
         object.__setattr__(self, "p", arr)
-        if arr.min() < -1e-12:
+        if arr.min() < -ROUNDING_TOL:
             raise ValueError(f"negative reduced coefficient {arr.min()}")
         sym = np.abs(arr - arr.transpose(1, 0, 2)).max()
-        if sym > 1e-12:
+        if sym > ROUNDING_TOL:
             raise ValueError(f"reduced tensor not symmetric in parents (max gap {sym})")
         stoch = np.abs(arr.sum(axis=2) - 1.0).max()
         if stoch > MASS_TOL:
@@ -428,7 +453,7 @@ class ReducedDistribution:
         if vals.ndim != 1 or vals.size == 0:
             raise DimensionMismatch("reduced distribution must be a nonempty vector")
         _require_finite(vals, "probability", ValueError)
-        if vals.min() < -1e-12:
+        if vals.min() < -ROUNDING_TOL:
             raise ValueError(f"negative probability {vals.min()}")
         if abs(vals.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {vals.sum()} != 1")
@@ -453,7 +478,7 @@ def reduce(t: HeredityTensor) -> ReducedQso:
     symmetrization is exact because a quadratic form only sees the
     symmetric part of its coefficient matrix.
     """
-    if abs(t.p_ratio[0] - 0.5) > 1e-12:
+    if abs(t.p_ratio[0] - 0.5) > ROUNDING_TOL:
         raise NotOneToOne(f"reduction is defined for p = q = 1/2, got p:q = {t.p_ratio}")
     m = t.space.m
     fem, mal = t.coefficients[:, :, :m], t.coefficients[:, :, m:]
