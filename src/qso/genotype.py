@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DuplicateLabel, EmptyComponent
 
@@ -97,13 +98,29 @@ class GenotypeSpace:
         """Index of the opposite-gender genotype with identical traits."""
         return (index + self.m) % self.total
 
+    @cached_property
+    def label_table(self) -> tuple[tuple[str, ...], dict[str, int]]:
+        """Trait labels in index order and the map from label to index.
+
+        Built once per space and shared; callers must not mutate the dict.
+        Alleles that contain ``|`` make their labels ambiguous, so such
+        labels are left out of the map and never resolve.
+        """
+        labels = tuple("|".join(combo) for combo in itertools.product(*self.components))
+        pipes = len(self.components) - 1
+        index = {label: t for t, label in enumerate(labels) if label.count("|") == pipes}
+        return labels, index
+
     def trait_label(self, trait_index: int) -> str:
         """Human-readable label of a trait combination (alleles joined by '|')."""
-        return "|".join(
-            comp[a] for a, comp in zip(self.traits_of(trait_index), self.components)
-        )
+        if not 0 <= trait_index < self.m:
+            raise ValueError(f"trait index {trait_index} out of range")
+        return self.label_table[0][trait_index]
 
     def trait_index_of_label(self, label: str) -> int:
+        index = self.label_table[1].get(label)
+        if index is not None:
+            return index
         parts = label.split("|")
         if len(parts) != len(self.components):
             raise ValueError(f"label {label!r} does not match component count")

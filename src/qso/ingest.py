@@ -4,7 +4,7 @@ Both file kinds share one CSV dialect: a leading ``# space:`` line
 declaring the trait components, a fixed header, then one row per
 (mother, father, child) entry.  Components are separated by ``;`` and
 allele labels by ``,``; multi-component trait labels join alleles with
-``|``.  UTF-8, LF or CRLF, decimal point only.
+``|``.  UTF-8, LF or CRLF, decimal point only; values must be finite.
 
     # space: +,-
     mother,father,child_gender,child_type,value
@@ -14,10 +14,18 @@ allele labels by ``,``; multi-component trait labels join alleles with
 Counts files carry a ``count`` column instead of ``value``.  Rows of one
 parent pair must be contiguous; missing child rows count as zero; a
 completely missing parent pair is an error.
+
+A table is read in one pass: each row is split once, its labels are looked
+up in the space's ``label_table`` and it is checked as it is read, so the
+first faulty line is the one reported.  Malformed files raise a
+``QsoError``: ``ParseError`` with the line and column of a byte that is
+not UTF-8 or of a value that is not a finite number, ``SchemaError`` for
+a structural fault (header, field count, label, repeated or split rows).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +40,7 @@ from .errors import (
     ZeroTotal,
 )
 from .genotype import GENDERS, GenotypeSpace, build_space
+from .operators import SYMMETRY_TOL
 from .operators import TABLE_TOL as LOAD_TOL
 from .operators import MeasureFamily, ValidationReport
 
@@ -70,23 +79,38 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
     silently averaged.
     """
     m = space.m
-    acc = np.zeros((m, m, space.total))
-    seen: set[tuple[int, int]] = set()
+    _, index = space.label_table
+    offsets = {gender: g * m for g, gender in enumerate(GENDERS)}
+    cells = []
+    values = []
     for row in counts.rows:
         if row.count < 0:
             raise ValueError(f"negative count {row.count} for {row}")
-        i = space.trait_index_of_label(row.mother)
-        j = space.trait_index_of_label(row.father)
-        g = GENDERS.index(row.child_gender)
-        s = g * m + space.trait_index_of_label(row.child_type)
-        acc[i, j, s] += row.count
-        seen.add((i, j))
-    for i in range(m):
-        for j in range(m):
-            if (i, j) not in seen:
-                raise MissingParentPair(
-                    f"no rows for pair ({space.trait_label(i)} x {space.trait_label(j)})"
-                )
+        if not math.isfinite(row.count):
+            raise ValueError(f"non-finite count {row.count} for {row}")
+        i = index.get(row.mother)
+        j = index.get(row.father)
+        offset = offsets.get(row.child_gender)
+        t = index.get(row.child_type)
+        if i is None or j is None or offset is None or t is None:
+            # raise the error the first bad field gives
+            space.trait_index_of_label(row.mother)
+            space.trait_index_of_label(row.father)
+            GENDERS.index(row.child_gender)
+            space.trait_index_of_label(row.child_type)
+        cells.append((i * m + j) * space.total + offset + t)
+        values.append(row.count)
+    cells = np.array(cells, dtype=np.intp)
+    acc = np.zeros((m, m, space.total))
+    # unbuffered and in row order, so repeated cells sum as a Python loop would
+    np.add.at(acc.reshape(-1), cells, np.array(values, dtype=float))
+    seen = np.zeros(m * m, dtype=bool)
+    seen[cells // space.total] = True
+    if not seen.all():
+        i, j = divmod(int(np.argmin(seen)), m)
+        raise MissingParentPair(
+            f"no rows for pair ({space.trait_label(i)} x {space.trait_label(j)})"
+        )
     totals = acc.sum(axis=2)
     if np.any(totals <= 0):
         i, j = map(int, np.argwhere(totals <= 0)[0])
@@ -99,7 +123,7 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
         mu = np.concatenate([pooled, pooled], axis=2)
     else:
         gap = np.abs(mu[:, :, :m] - mu[:, :, m:]).max()
-        if gap > 1e-9:
+        if gap > SYMMETRY_TOL:
             raise AsymmetricMeasure(
                 f"counts are gender-asymmetric (max frequency gap {gap}); "
                 "pass symmetrize=True to pool genders"
@@ -123,19 +147,71 @@ def _parse_space(spec: str, line_no: int) -> GenotypeSpace:
     return build_space(components)
 
 
+def _split_lines(text: str) -> list[str]:
+    # universal newlines, as text-mode reading applies them
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _read_lines(path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
-    return text.replace("\r\n", "\n").split("\n")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _split_lines(data[:exc.start].decode("utf-8"))
+        line, column = len(before), len(before[-1]) + 1
+        raise ParseError(
+            f"line {line}, column {column}: invalid UTF-8 byte {data[exc.start]:#04x}",
+            line=line,
+            column=column,
+        ) from exc
+    return _split_lines(text)
 
 
-def _parse_table(path, expected_header: str):
-    """Common parser: returns (space, rows) where each row is
-    (line_no, mother, father, child_gender, child_type, raw_value)."""
-    lines = _read_lines(path)
+def _field_column(line: str, field_index: int) -> int:
+    """1-based character offset of a comma-separated field."""
+    col = 0
+    for _ in range(field_index):
+        col = line.index(",", col) + 1
+    return col + 1
+
+
+def _value_error(line_no: int, raw_line: str, what: str) -> ParseError:
+    column = _field_column(raw_line, 4)
+    return ParseError(f"line {line_no}, column {column}: {what}", line=line_no, column=column)
+
+
+def _reject_labels(space: GenotypeSpace, line_no: int, fields: list[str]) -> None:
+    """Raise the error for the first unknown label or gender of a row."""
+    mother, father, gender, child, _ = fields
+    try:
+        space.trait_index_of_label(mother)
+        space.trait_index_of_label(father)
+        if gender not in GENDERS:
+            raise SchemaError(
+                f"line {line_no}: child_gender must be 'f' or 'm', got {gender!r}"
+            )
+        space.trait_index_of_label(child)
+    except ValueError as exc:
+        raise SchemaError(f"line {line_no}: {exc}") from exc
+
+
+def _parse_table(path, expected_header: str, nonnegative: bool = False):
+    """Parse a table in one pass over its lines.
+
+    Returns ``(space, cells, values)``: the declared space, and the flat
+    index ``(i * m + j) * total + s`` and the value of every data row in
+    file order.  Each row is checked as it is read (field count, labels, a
+    finite value, non-negative when ``nonnegative``, no repeated cell,
+    contiguous parent pairs), so the first faulty line is the one reported.
+    """
     space = None
     header_seen = False
-    rows = []
-    for line_no, line in enumerate(lines, start=1):
+    cells = []
+    values = []
+    seen_cells: set[int] = set()
+    pairs: set[int] = set()
+    current = None
+    for line_no, line in enumerate(_read_lines(path), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -154,105 +230,75 @@ def _parse_table(path, expected_header: str):
             if space is None:
                 raise SchemaError("missing '# space:' declaration before header")
             header_seen = True
+            m, total = space.m, space.total
+            _, index = space.label_table
+            offsets = {gender: g * m for g, gender in enumerate(GENDERS)}
             continue
         fields = stripped.split(",")
         if len(fields) != 5:
             raise SchemaError(
                 f"line {line_no}: expected 5 comma-separated fields, got {len(fields)}"
             )
-        rows.append((line_no, line, [f.strip() for f in fields]))
+        fields = [f.strip() for f in fields]
+        mother, father, gender, child, value = fields
+        i = index.get(mother)
+        j = index.get(father)
+        offset = offsets.get(gender)
+        t = index.get(child)
+        if i is None or j is None or offset is None or t is None:
+            _reject_labels(space, line_no, fields)
+        try:
+            v = float(value)
+        except ValueError as exc:
+            raise _value_error(line_no, line, f"cannot parse {value!r} as a number") from exc
+        if not math.isfinite(v):
+            raise _value_error(line_no, line, f"{value!r} is not a finite number")
+        if nonnegative and v < 0:
+            raise InvariantViolation(f"line {line_no}: negative count {v}")
+        pair = i * m + j
+        cell = pair * total + offset + t
+        if cell in seen_cells:
+            raise SchemaError(
+                f"line {line_no}: duplicate row for pair {(i, j)}, child {offset + t}"
+            )
+        seen_cells.add(cell)
+        if pair != current:
+            if pair in pairs:
+                raise SchemaError(f"rows for parent pair {(i, j)} are not contiguous")
+            pairs.add(pair)
+            current = pair
+        cells.append(cell)
+        values.append(v)
     if not header_seen:
         raise SchemaError("file has no header row")
-    return space, rows
-
-
-def _field_column(line: str, field_index: int) -> int:
-    """1-based character offset of a comma-separated field."""
-    col = 0
-    for _ in range(field_index):
-        col = line.index(",", col) + 1
-    return col + 1
-
-
-def _resolve_row(space: GenotypeSpace, line_no: int, raw_line: str, fields: list[str]):
-    mother, father, gender, child, value = fields
-    try:
-        i = space.trait_index_of_label(mother)
-    except ValueError as exc:
-        raise SchemaError(f"line {line_no}: {exc}") from exc
-    try:
-        j = space.trait_index_of_label(father)
-    except ValueError as exc:
-        raise SchemaError(f"line {line_no}: {exc}") from exc
-    if gender not in GENDERS:
-        raise SchemaError(f"line {line_no}: child_gender must be 'f' or 'm', got {gender!r}")
-    try:
-        t = space.trait_index_of_label(child)
-    except ValueError as exc:
-        raise SchemaError(f"line {line_no}: {exc}") from exc
-    try:
-        v = float(value)
-    except ValueError as exc:
-        raise ParseError(
-            f"line {line_no}, column {_field_column(raw_line, 4)}: "
-            f"cannot parse {value!r} as a number",
-            line=line_no,
-            column=_field_column(raw_line, 4),
-        ) from exc
-    s = GENDERS.index(gender) * space.m + t
-    return i, j, s, v
-
-
-def _check_contiguity(order: list[tuple[int, int]]) -> None:
-    seen: set[tuple[int, int]] = set()
-    current = None
-    for pair in order:
-        if pair != current:
-            if pair in seen:
-                raise SchemaError(
-                    f"rows for parent pair {pair} are not contiguous"
-                )
-            seen.add(pair)
-            current = pair
+    return space, cells, values
 
 
 def load_counts(path) -> CountsTable:
     """Read a counts CSV; missing child rows are implicit zeros."""
-    space, raw_rows = _parse_table(path, COUNTS_HEADER)
+    space, cells, values = _parse_table(path, COUNTS_HEADER, nonnegative=True)
+    labels, _ = space.label_table
+    m, total = space.m, space.total
     rows = []
-    order = []
-    seen_cells: set[tuple[int, int, int]] = set()
-    for line_no, raw_line, fields in raw_rows:
-        i, j, s, v = _resolve_row(space, line_no, raw_line, fields)
-        if v < 0:
-            raise InvariantViolation(f"line {line_no}: negative count {v}")
-        if (i, j, s) in seen_cells:
-            raise SchemaError(f"line {line_no}: duplicate row for pair {(i, j)}, child {s}")
-        seen_cells.add((i, j, s))
-        order.append((i, j))
-        rows.append(CountRow(fields[0], fields[1], fields[2], fields[3], v))
-    _check_contiguity(order)
+    for cell, v in zip(cells, values):
+        pair, s = divmod(cell, total)
+        i, j = divmod(pair, m)
+        rows.append(CountRow(labels[i], labels[j], GENDERS[s // m], labels[s % m], v))
     return CountsTable(space, tuple(rows))
 
 
 def read_measure_family(path) -> MeasureFamily:
     """Parse a measure-family CSV without checking value invariants."""
-    space, raw_rows = _parse_table(path, MEASURE_HEADER)
+    space, cells, values = _parse_table(path, MEASURE_HEADER)
     m = space.m
-    mu = np.full((m, m, space.total), np.nan)
-    sequence = []
-    for line_no, raw_line, fields in raw_rows:
-        i, j, s, v = _resolve_row(space, line_no, raw_line, fields)
-        if not np.isnan(mu[i, j, s]):
-            raise SchemaError(f"line {line_no}: duplicate row for pair {(i, j)}, child {s}")
-        sequence.append((i, j))
-        mu[i, j, s] = v
-    _check_contiguity(sequence)
+    cells = np.array(cells, dtype=np.intp)
+    mu = np.full((m * m, space.total), np.nan)
+    mu.reshape(-1)[cells] = values
     # missing child rows within a declared pair are zeros
-    for i, j in set(sequence):
-        row = mu[i, j]
-        mu[i, j] = np.where(np.isnan(row), 0.0, row)
-    return MeasureFamily(space, mu)
+    declared = np.zeros(m * m, dtype=bool)
+    declared[cells // space.total] = True
+    mu[np.isnan(mu) & declared[:, None]] = 0.0
+    return MeasureFamily(space, mu.reshape(m, m, space.total))
 
 
 def load_measure_family(path, tol: float = LOAD_TOL) -> MeasureFamily:
@@ -273,20 +319,14 @@ def load_measure_family(path, tol: float = LOAD_TOL) -> MeasureFamily:
 def save_measure_family(family: MeasureFamily, path) -> None:
     """Write a measure family in canonical order; values round-trip exactly."""
     space = family.space
-    m = space.m
+    labels, _ = space.label_table
+    children = [f"{gender},{label}" for gender in GENDERS for label in labels]
+    complete = ~np.isnan(family.mu).any(axis=2)
     lines = [f"# space: {_format_space(space)}", MEASURE_HEADER]
-    for i in range(m):
-        for j in range(m):
-            row = family.mu[i, j]
-            if np.isnan(row).any():
-                continue
-            for s in range(space.total):
-                gender = GENDERS[s // m]
-                child = space.trait_label(s % m)
-                lines.append(
-                    f"{space.trait_label(i)},{space.trait_label(j)},"
-                    f"{gender},{child},{float(row[s])!r}"
-                )
+    for i, j in zip(*np.nonzero(complete)):
+        parents = f"{labels[i]},{labels[j]}"
+        lines.extend(f"{parents},{child},{v!r}"
+                     for child, v in zip(children, family.mu[i, j].tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -50,6 +50,46 @@ def test_multi_component_enumeration_is_lexicographic():
         assert space.mirror(space.mirror(k)) == k
 
 
+ALLELE = st.text(alphabet="ab|", min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(ALLELE, min_size=1, max_size=3, unique=True), min_size=1, max_size=3))
+def test_label_table_resolves_like_the_label_parser(components):
+    # the table must resolve exactly the labels the split-and-rank parser
+    # resolved, including none of those whose alleles contain "|"
+    space = build_space(components)
+    labels, index = space.label_table
+    for t in range(space.m):
+        alleles = [comp[a] for a, comp in zip(space.traits_of(t), space.components)]
+        assert labels[t] == space.trait_label(t) == "|".join(alleles)
+        if any("|" in allele for allele in alleles):
+            assert labels[t] not in index
+            with pytest.raises(ValueError):
+                space.trait_index_of_label(labels[t])
+        else:
+            assert space.trait_index_of_label(labels[t]) == index[labels[t]] == t
+
+
+def test_unknown_labels_keep_their_messages():
+    space = build_space([["A", "a"], ["B", "b"]])
+    with pytest.raises(ValueError, match=r"label 'A' does not match component count"):
+        space.trait_index_of_label("A")
+    with pytest.raises(ValueError, match=r"unknown allele 'c' for component \('B', 'b'\)"):
+        space.trait_index_of_label("a|c")
+    with pytest.raises(ValueError, match="trait index 4 out of range"):
+        space.trait_label(4)
+    with pytest.raises(ValueError, match="trait index -1 out of range"):
+        space.trait_label(-1)
+
+
+def test_label_table_leaves_equality_and_hash_alone():
+    space = build_space([["A", "a"], ["B", "b"]])
+    other = build_space([["A", "a"], ["B", "b"]])
+    space.label_table
+    assert space == other and hash(space) == hash(other)
+
+
 def test_mirror_swaps_gender_only():
     space = build_space([["A", "a"], ["x", "y", "z"]])
     for k in range(space.total):

@@ -1,5 +1,13 @@
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qso
 from qso import (
@@ -13,11 +21,13 @@ from qso import (
     save_counts,
     save_measure_family,
 )
+from qso.cli import main
 from qso.errors import (
     AsymmetricMeasure,
     InvariantViolation,
     MissingParentPair,
     ParseError,
+    QsoError,
     SchemaError,
     ZeroTotal,
 )
@@ -98,6 +108,14 @@ def test_estimate_rejects_negative_counts():
     table = full_counts()
     table[("+", "-")][("f", "+")] = -1.0
     with pytest.raises(ValueError):
+        estimate_measures(RH, rh_counts(table))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_estimate_rejects_non_finite_counts(bad):
+    table = full_counts()
+    table[("+", "-")][("f", "+")] = bad
+    with pytest.raises(ValueError, match="non-finite count"):
         estimate_measures(RH, rh_counts(table))
 
 
@@ -269,3 +287,144 @@ def test_multi_component_labels_roundtrip(tmp_path):
     assert "A|B" in text
     loaded = load_measure_family(path, tol=1e-9)
     assert np.array_equal(loaded.mu, family.mu)
+
+
+# --- non-finite values and undecodable bytes -------------------------------------------
+
+RH_COUNTS = """\
+# space: +,-
+mother,father,child_gender,child_type,count
++,+,f,+,985
++,+,f,-,15
++,+,m,+,985
++,+,m,-,15
++,-,f,+,3
++,-,m,+,3
+-,+,f,-,2
+-,+,m,-,2
+-,-,f,+,1
+-,-,m,+,1
+"""
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+def test_non_finite_count_is_a_parse_error(tmp_path, value):
+    path = tmp_path / "counts.csv"
+    path.write_text(RH_COUNTS.replace("+,-,m,+,3", f"+,-,m,+,{value}"))
+    with pytest.raises(ParseError) as exc:
+        load_counts(path)
+    assert (exc.value.line, exc.value.column) == (8, 9)
+    assert str(exc.value) == f"line 8, column 9: {value!r} is not a finite number"
+
+
+def test_ingest_exits_one_on_non_finite_counts(tmp_path, capsys):
+    # such files used to be ingested with the affected parent pairs dropped
+    path = tmp_path / "counts.csv"
+    path.write_text(RH_COUNTS.replace("-,+,f,-,2", "-,+,f,-,inf"))
+    assert main(["ingest", str(path), str(tmp_path / "out.csv")]) == 1
+    assert "line 9, column 9" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_nan_measure_value_is_a_parse_error(tmp_path):
+    # a NaN cell used to read as 0.0 and to hide a later duplicate of itself
+    body = FULL_BODY_TEMPLATE.format(v00="nan", v01="0.0075") + "+,+,f,+,0.4925\n"
+    with pytest.raises(ParseError) as exc:
+        read_measure_family(write_family(tmp_path, body))
+    assert (exc.value.line, exc.value.column) == (3, 9)
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (b"# space: +,-\nmother,father,child_gender,child_type,count\n+,\xff,f,+,1\n", 3, 3),
+    (b"# space: +,-\r\n# caf\xc3\xa9 \xe9\r\n", 2, 8),
+    (b"# space: +,-\r# note\rmother\x80", 3, 7),
+    (b"\xff# space: +,-\n", 1, 1),
+])
+def test_undecodable_byte_is_a_parse_error(tmp_path, text, line, column):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    for reader in (load_counts, read_measure_family):
+        with pytest.raises(ParseError) as exc:
+            reader(path)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value).startswith(f"line {line}, column {column}: invalid UTF-8 byte")
+
+
+# --- fuzzed files ------------------------------------------------------------------------
+
+FUZZ_BASES = {
+    "counts": RH_COUNTS.encode(),
+    "multi-counts": (
+        "# space: A,a;B,b\r\nmother,father,child_gender,child_type,count\r\n"
+        + "".join(f"{x},{y},{g},A|B,{k + 1}\r\n"
+                  for k, (x, y) in enumerate((x, y) for x in ("A|B", "A|b", "a|B", "a|b")
+                                             for y in ("A|B", "A|b", "a|B", "a|b"))
+                  for g in ("f", "m"))
+    ).encode(),
+    "measure": (Path(qso.__file__).parent / "data" / "rh.csv").read_bytes(),
+}
+
+INSERTS = [b"nan", b"inf", b"-inf", b"1e400", b"\xff", b"\xc3", b",", b"\n", b"\r", b"|",
+           b"#", b"-", b" ", b"# space: +,-\n"]
+
+MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 4096), st.integers(0, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 4096)),
+    st.tuples(st.just("delete"), st.integers(0, 4096), st.integers(1, 8)),
+    st.tuples(st.just("insert"), st.integers(0, 4096), st.sampled_from(INSERTS)),
+)
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    for kind, at, *arg in mutations:
+        at %= len(data) + 1
+        if kind == "flip":
+            data = data[:at] + bytes([arg[0]]) + data[at + 1:]
+        elif kind == "truncate":
+            data = data[:at]
+        elif kind == "delete":
+            data = data[:at] + data[at + arg[0]:]
+        else:
+            data = data[:at] + arg[0] + data[at:]
+    return data
+
+
+def cli_code(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(sorted(FUZZ_BASES)),
+       mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_fuzzed_files_fail_only_with_qso_errors(base, mutations):
+    data = mutate(FUZZ_BASES[base], mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(data)
+        if base.endswith("counts"):
+            try:
+                table = load_counts(path)
+            except QsoError:
+                table = None
+            if table is not None:
+                assert all(math.isfinite(row.count) for row in table.rows)
+            code = cli_code("ingest", str(path), str(Path(tmp) / "out.csv"))
+            assert code in (0, 1)
+            if table is None:
+                assert code == 1
+        else:
+            try:
+                family = read_measure_family(path)
+            except QsoError:
+                family = None
+            if family is not None:
+                # a pair is either absent (all NaN) or fully finite
+                absent = np.isnan(family.mu).all(axis=2)
+                assert np.isfinite(family.mu[~absent]).all()
+            code = cli_code("validate", str(path))
+            assert (code == 1) if family is None else (code in (0, 2))
+            code = cli_code("fixpoint", "--coeff-file", str(path))
+            assert code in (0, 1, 2)
+            if family is None:
+                assert code == 1
