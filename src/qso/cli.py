@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import dynamics, models
+from . import dynamics, models, operators
 from .errors import NoConvergence, QsoError
 from .ingest import (
     estimate_measures,
@@ -198,10 +198,10 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated weights for --model multi")
     parser.add_argument("--start", default="uniform",
                         help="'uniform', 'random', 'random:SEED', or y1,y2,...")
-    parser.add_argument("--tol", type=float, default=1e-12,
-                        help="l1 convergence tolerance (default 1e-12)")
-    parser.add_argument("--max-iters", type=int, default=1_000_000,
-                        help="iteration budget (default 1000000)")
+    parser.add_argument("--tol", type=float, default=dynamics.DEFAULT_TOL,
+                        help=f"l1 convergence tolerance (default {dynamics.DEFAULT_TOL:g})")
+    parser.add_argument("--max-iters", type=int, default=dynamics.DEFAULT_MAX_ITERS,
+                        help=f"iteration budget (default {dynamics.DEFAULT_MAX_ITERS})")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for --start random (default 0)")
 
@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check a measure-family CSV")
     p_val.add_argument("path")
-    p_val.add_argument("--tol", type=float, default=1e-3,
+    # the help keeps its spelling: f"{TABLE_TOL:g}" would print 0.001, not 1e-3
+    p_val.add_argument("--tol", type=float, default=operators.TABLE_TOL,
                        help="violation tolerance (default 1e-3)")
     p_val.set_defaults(func=_cmd_validate)
 

@@ -35,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRange, InvalidCoefficients, NoConvergence
-from .operators import ReducedDistribution, ReducedQso, reduced_step
+from .operators import (_DEGENERATE_TOL, _NEWTON_FLOOR, CLASSIFY_MARGIN, ROUNDING_TOL,
+                        ReducedDistribution, ReducedQso, reduced_step)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 1_000_000
-CLASSIFY_MARGIN = 1e-6
 _NEWTON_STEPS = 60
 _BLOCK_MIN = 8        # steps in the first block and the fewest in any block
 _BLOCK_MAX = 1024     # most steps in one block
@@ -226,7 +226,7 @@ def _newton_refine(q: ReducedQso, y: np.ndarray, budget: int = _NEWTON_STEPS) ->
                     improved = True
                     break
             t /= 2.0
-        if not improved or best_res < n * 1e-17:
+        if not improved or best_res < n * _NEWTON_FLOOR:
             break
     return best
 
@@ -310,11 +310,10 @@ def analyze_quadratic_1d(a: float, b: float, c: float) -> Quadratic1dAnalysis:
     qa = a - 2.0 * b + c
     qb = 2.0 * b - 2.0 * c - 1.0
     qc = c
-    eps = 1e-15
-    if abs(qa) < eps and abs(qb) < eps and abs(qc) < eps:
+    if max(abs(qa), abs(qb), abs(qc)) < _DEGENERATE_TOL:
         # the whole segment is fixed; report its endpoints
         return Quadratic1dAnalysis(a, b, c, delta, (0.0, 1.0), "identity")
-    if abs(qa) < eps:
+    if abs(qa) < _DEGENERATE_TOL:
         roots = [-qc / qb]
     else:
         # stable quadratic formula
@@ -327,9 +326,9 @@ def analyze_quadratic_1d(a: float, b: float, c: float) -> Quadratic1dAnalysis:
             roots = [r1, qc / (qa * r1)] if r1 != 0.0 else [0.0, -qb / qa]
     kept = []
     for r in roots:
-        if -1e-12 <= r <= 1.0 + 1e-12:
+        if -ROUNDING_TOL <= r <= 1.0 + ROUNDING_TOL:
             r = min(max(r, 0.0), 1.0)
-            if all(abs(r - k) > 1e-12 for k in kept):
+            if all(abs(r - k) > ROUNDING_TOL for k in kept):
                 kept.append(r)
     kept.sort()
     if 0.0 < delta < 4.0:

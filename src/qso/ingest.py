@@ -40,9 +40,7 @@ from .errors import (
     ZeroTotal,
 )
 from .genotype import GENDERS, GenotypeSpace, build_space
-from .operators import SYMMETRY_TOL
-from .operators import TABLE_TOL as LOAD_TOL
-from .operators import MeasureFamily, ValidationReport
+from .operators import TABLE_TOL, MeasureFamily, ValidationReport, _check_gender_gap
 
 MEASURE_HEADER = "mother,father,child_gender,child_type,value"
 COUNTS_HEADER = "mother,father,child_gender,child_type,count"
@@ -69,6 +67,14 @@ class CountsTable:
     rows: tuple[CountRow, ...]
 
 
+def _check_count(row: CountRow) -> None:
+    """Reject the negative and non-finite counts that the counts reader rejects."""
+    if row.count < 0:
+        raise ValueError(f"negative count {row.count} for {row}")
+    if not math.isfinite(row.count):
+        raise ValueError(f"non-finite count {row.count} for {row}")
+
+
 def estimate_measures(space: GenotypeSpace, counts: CountsTable,
                       symmetrize: bool = False) -> MeasureFamily:
     """Per-pair relative child frequencies from raw counts.
@@ -84,10 +90,7 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
     cells = []
     values = []
     for row in counts.rows:
-        if row.count < 0:
-            raise ValueError(f"negative count {row.count} for {row}")
-        if not math.isfinite(row.count):
-            raise ValueError(f"non-finite count {row.count} for {row}")
+        _check_count(row)
         i = index.get(row.mother)
         j = index.get(row.father)
         offset = offsets.get(row.child_gender)
@@ -122,12 +125,8 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
         pooled = 0.5 * (mu[:, :, :m] + mu[:, :, m:])
         mu = np.concatenate([pooled, pooled], axis=2)
     else:
-        gap = np.abs(mu[:, :, :m] - mu[:, :, m:]).max()
-        if gap > SYMMETRY_TOL:
-            raise AsymmetricMeasure(
-                f"counts are gender-asymmetric (max frequency gap {gap}); "
-                "pass symmetrize=True to pool genders"
-            )
+        _check_gender_gap(mu, AsymmetricMeasure, "counts are gender-asymmetric (max frequency "
+                          "gap {}); pass symmetrize=True to pool genders")
     return MeasureFamily(space, mu)
 
 
@@ -301,7 +300,7 @@ def read_measure_family(path) -> MeasureFamily:
     return MeasureFamily(space, mu.reshape(m, m, space.total))
 
 
-def load_measure_family(path, tol: float = LOAD_TOL) -> MeasureFamily:
+def load_measure_family(path, tol: float = TABLE_TOL) -> MeasureFamily:
     """Read a measure-family CSV and check its invariants at ``tol``.
 
     Raises ``InvariantViolation`` carrying the full violation report when
@@ -331,9 +330,11 @@ def save_measure_family(family: MeasureFamily, path) -> None:
 
 
 def save_counts(counts: CountsTable, path) -> None:
-    """Write a counts table; integral counts are written without a decimal point."""
+    """Write a counts table; integral counts are written without a decimal point.
+    A negative or non-finite count raises ``ValueError`` before anything is written."""
     lines = [f"# space: {_format_space(counts.space)}", COUNTS_HEADER]
     for row in counts.rows:
+        _check_count(row)
         c = float(row.count)
         text = repr(int(c)) if c.is_integer() else repr(c)
         lines.append(f"{row.mother},{row.father},{row.child_gender},{row.child_type},{text}")

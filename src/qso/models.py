@@ -24,6 +24,7 @@ from .errors import AlphaOutOfRange, BadSum, NonPositiveAlpha
 from .genotype import GenotypeSpace, build_space
 from .ingest import load_measure_family, save_measure_family
 from .operators import (
+    MASS_TOL,
     Distribution,
     MeasureFamily,
     ReducedQso,
@@ -85,7 +86,7 @@ def multi_allele(alphas) -> ReducedQso:
         raise ValueError("need at least two trait weights")
     if np.any(arr <= 0.0):
         raise NonPositiveAlpha(f"weights must be strictly positive, got {arr.tolist()}")
-    if abs(arr.sum() - 0.5) > 1e-9:
+    if abs(arr.sum() - 0.5) > MASS_TOL:
         raise BadSum(f"weights must sum to 1/2, got {arr.sum()}")
     n = arr.size
     p = np.zeros((n, n, n))

@@ -13,6 +13,11 @@ of per-component masks), and the validators reduce every pair's row at once.
 Both are bitwise equal to per-pair loops; summing zero-padded rows for the
 offspring-set masses instead would move coefficients by up to 4 ulp.
 
+Every value type copies its arrays through ``_checked``: read-only, of the
+declared shape, and finite, since NaN passes every range check.  Only a
+``MeasureFamily`` keeps NaN, which marks a missing pair; boolean support masks
+are not scanned.  The female/male gap is checked only by ``_check_gender_gap``.
+
 All types are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
 """
@@ -35,29 +40,44 @@ from .errors import (
 )
 from .genotype import Genotype, GenotypeSpace
 
-# Every tolerance the checks in this module use.
-ROUNDING_TOL = 1e-12  # exact identities up to rounding: p + q = 1, symmetry, >= 0
+# Every tolerance the package's checks and solvers use.
+ROUNDING_TOL = 1e-12  # exact identities up to rounding: p + q = 1, symmetry, >= 0, roots
 MASS_TOL = 1e-9       # construction-time simplex/hyper-simplex tolerance
 SYMMETRY_TOL = 1e-9   # gender-symmetry tolerance for measures
 VALIDATE_TOL = 1e-6   # default tolerance of validate_pq
-TABLE_TOL = 1e-3      # published tables are rounded to ~4 decimals (ingest.LOAD_TOL)
+TABLE_TOL = 1e-3      # published tables are rounded to ~4 decimals
+CLASSIFY_MARGIN = 1e-6  # spectral radii within 1 +- this classify as neutral
+_DEGENERATE_TOL = 1e-15  # a closed-form quadratic coefficient below this is zero
+_NEWTON_FLOOR = 1e-17    # per-type residual at which the Newton polish stops
 
 
-def _as_readonly(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if shape is not None and arr.shape != shape:
-        raise DimensionMismatch(f"expected array of shape {shape}, got {arr.shape}")
+def _checked(obj, field: str, shape: tuple[int, ...] | None, what: str,
+             error: type[Exception] = ValueError, dtype=float, nan_ok=False) -> np.ndarray:
+    """Set ``obj.field`` to a read-only copy with ``shape`` (``None``: any nonempty
+    vector) and return it.  Float entries must be finite, or NaN when ``nan_ok``;
+    the first other one raises ``error``.  Boolean arrays are not scanned."""
+    arr = np.array(getattr(obj, field), dtype=dtype)
+    if (arr.shape != shape) if shape else (arr.ndim != 1 or arr.size == 0):
+        raise DimensionMismatch(
+            f"{what} array has shape {arr.shape}, expected {shape or 'a nonempty vector'}")
+    if arr.dtype != bool:
+        bad = np.isinf(arr) if nan_ok else ~np.isfinite(arr)
+        if bad.any():
+            at = np.unravel_index(int(bad.argmax()), arr.shape)
+            raise error(f"non-finite {what} {arr[at]} at index {tuple(map(int, at))}")
     arr.setflags(write=False)
+    object.__setattr__(obj, field, arr)
     return arr
 
 
-def _require_finite(arr: np.ndarray, what: str, error: type[Exception]) -> None:
-    """Reject NaN and infinities: NaN fails every comparison, so range checks
-    alone would accept it."""
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        at = tuple(int(i) for i in np.unravel_index(bad[0], arr.shape))
-        raise error(f"non-finite {what} {arr.flat[bad[0]]} at index {at}")
+def _check_gender_gap(values: np.ndarray, error: type[Exception], message: str) -> None:
+    """Raise ``error(message.format(gap))`` if the largest ``|female - male|`` over
+    the last axis (female half first) exceeds ``SYMMETRY_TOL``."""
+    m = values.shape[-1] // 2
+    gap = np.subtract(values[..., :m], values[..., m:])
+    gap = np.abs(gap, out=gap).max()
+    if gap > SYMMETRY_TOL:
+        raise error(message.format(gap))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +91,8 @@ class Distribution:
     p_ratio: tuple[float, float] = (0.5, 0.5)
 
     def __post_init__(self):
-        vals = _as_readonly(self.values, (self.space.total,))
-        _require_finite(vals, "probability", DistributionOutsideHyperSimplex)
-        object.__setattr__(self, "values", vals)
+        vals = _checked(self, "values", (self.space.total,), "probability",
+                        DistributionOutsideHyperSimplex)
         p, q = self.p_ratio
         if not (0.0 < p < 1.0 and abs(p + q - 1.0) <= MASS_TOL):
             raise DistributionOutsideHyperSimplex(
@@ -104,25 +123,22 @@ class Distribution:
     def male(self) -> np.ndarray:
         return self.values[self.space.m:]
 
-    def gender_symmetric(self, tol: float = SYMMETRY_TOL) -> bool:
-        return bool(np.abs(self.female - self.male).max() <= tol)
-
 
 @dataclass(frozen=True, eq=False)
 class MeasureFamily:
     """One child measure per (mother trait, father trait) parent pair.
 
     ``mu[i, j, s]`` is the mass that the pair (female of trait ``i``,
-    male of trait ``j``) assigns to child genotype ``s``.  Rows of
-    missing pairs are NaN; operators reject them with ``MissingPair``.
+    male of trait ``j``) assigns to child genotype ``s``.  Rows of missing
+    pairs are NaN, which operators reject with ``MissingPair``; inf is an error.
     """
 
     space: GenotypeSpace
     mu: np.ndarray
 
     def __post_init__(self):
-        m = self.space.m
-        object.__setattr__(self, "mu", _as_readonly(self.mu, (m, m, self.space.total)))
+        shape = (self.space.m, self.space.m, self.space.total)
+        _checked(self, "mu", shape, "measure value", nan_ok=True)
 
     @classmethod
     def uniform(cls, space: GenotypeSpace) -> "MeasureFamily":
@@ -222,16 +238,10 @@ class HeredityTensor:
     support: np.ndarray | None = None
 
     def __post_init__(self):
-        m = self.space.m
-        coeffs = _as_readonly(self.coefficients, (m, m, self.space.total))
-        _require_finite(coeffs, "coefficient", ValueError)
-        object.__setattr__(self, "coefficients", coeffs)
+        shape = (self.space.m, self.space.m, self.space.total)
+        _checked(self, "coefficients", shape, "coefficient")
         if self.support is not None:
-            sup = np.array(self.support, dtype=bool)
-            if sup.shape != (m, m, self.space.total):
-                raise DimensionMismatch("support mask shape mismatch")
-            sup.setflags(write=False)
-            object.__setattr__(self, "support", sup)
+            _checked(self, "support", shape, "support", dtype=bool)
         p, q = self.p_ratio
         if not (0.0 < p < 1.0 and 0.0 < q < 1.0 and abs(p + q - 1.0) <= ROUNDING_TOL):
             raise ValueError(f"invalid p:q ratio ({p}, {q})")
@@ -258,16 +268,6 @@ class HeredityTensor:
         return self.coefficient(mother, father, child)
 
 
-def _require_symmetric_base(mu0: Distribution) -> None:
-    if mu0.p_ratio != (0.5, 0.5):
-        raise AsymmetricMeasure(
-            f"base measure must live on the 1:1 hyper-simplex, got p:q = {mu0.p_ratio}"
-        )
-    if not mu0.gender_symmetric():
-        gap = np.abs(mu0.female - mu0.male).max()
-        raise AsymmetricMeasure(f"base measure female/male values differ by {gap}")
-
-
 def mendelian_coefficients(space: GenotypeSpace, mu0: Distribution) -> HeredityTensor:
     """Heredity coefficients concentrated on the per-component offspring set.
 
@@ -278,7 +278,11 @@ def mendelian_coefficients(space: GenotypeSpace, mu0: Distribution) -> HeredityT
     """
     if mu0.space is not space and mu0.space != space:
         raise DimensionMismatch("base measure was built for a different space")
-    _require_symmetric_base(mu0)
+    if mu0.p_ratio != (0.5, 0.5):
+        raise AsymmetricMeasure(
+            f"base measure must live on the 1:1 hyper-simplex, got p:q = {mu0.p_ratio}"
+        )
+    _check_gender_gap(mu0.values, AsymmetricMeasure, "base measure female/male values differ by {}")
     m = space.m
     # support[i, j, t]: each allele of child traits t is the mother's or the
     # father's; an outer product of per-component masks (last one first)
@@ -325,11 +329,7 @@ def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> He
             f"no measure for pair ({space.trait_label(i)} x {space.trait_label(j)})"
             + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
         )
-    m = space.m
-    fem, mal = family.mu[:, :, :m], family.mu[:, :, m:]
-    gap = np.abs(fem - mal).max()
-    if gap > SYMMETRY_TOL:
-        raise AsymmetricMeasure(f"family female/male child values differ by {gap}")
+    _check_gender_gap(family.mu, AsymmetricMeasure, "family female/male child values differ by {}")
     sums = family.mu.sum(axis=2)
     worst = np.abs(sums - 1.0).max()
     if worst > TABLE_TOL:
@@ -337,7 +337,7 @@ def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> He
             f"measure rows deviate from unit mass by {worst}; renormalize first"
         )
     return HeredityTensor(space, (0.5, 0.5), 2.0 * family.mu,
-                          np.ones((m, m, space.total), dtype=bool))
+                          np.ones(family.mu.shape, dtype=bool))
 
 
 def _pair_violations(space: GenotypeSpace, rows: np.ndarray, tol: float,
@@ -426,12 +426,11 @@ class ReducedQso:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly(self.p, (self.n, self.n, self.n))
-        _require_finite(arr, "reduced coefficient", ValueError)
-        object.__setattr__(self, "p", arr)
+        arr = _checked(self, "p", (self.n, self.n, self.n), "reduced coefficient")
         if arr.min() < -ROUNDING_TOL:
             raise ValueError(f"negative reduced coefficient {arr.min()}")
-        sym = np.abs(arr - arr.transpose(1, 0, 2)).max()
+        sym = np.subtract(arr, arr.transpose(1, 0, 2))
+        sym = np.abs(sym, out=sym).max()
         if sym > ROUNDING_TOL:
             raise ValueError(f"reduced tensor not symmetric in parents (max gap {sym})")
         stoch = np.abs(arr.sum(axis=2) - 1.0).max()
@@ -449,16 +448,11 @@ class ReducedDistribution:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise DimensionMismatch("reduced distribution must be a nonempty vector")
-        _require_finite(vals, "probability", ValueError)
+        vals = _checked(self, "values", None, "probability")
         if vals.min() < -ROUNDING_TOL:
             raise ValueError(f"negative probability {vals.min()}")
         if abs(vals.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {vals.sum()} != 1")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
     @classmethod
     def uniform(cls, n: int) -> "ReducedDistribution":
@@ -480,13 +474,11 @@ def reduce(t: HeredityTensor) -> ReducedQso:
     """
     if abs(t.p_ratio[0] - 0.5) > ROUNDING_TOL:
         raise NotOneToOne(f"reduction is defined for p = q = 1/2, got p:q = {t.p_ratio}")
-    m = t.space.m
-    fem, mal = t.coefficients[:, :, :m], t.coefficients[:, :, m:]
-    gap = np.abs(fem - mal).max()
-    if gap > SYMMETRY_TOL:
-        raise ChildAsymmetry(f"female/male child coefficients differ by {gap}")
-    p = 0.5 * (fem + fem.transpose(1, 0, 2))
-    return ReducedQso(m, p)
+    _check_gender_gap(t.coefficients, ChildAsymmetry, "female/male child coefficients differ by {}")
+    fem = t.coefficients[:, :, :t.space.m]
+    p = fem + fem.transpose(1, 0, 2)
+    p *= 0.5  # one temporary; bitwise equal to 0.5 * (fem + fem.T)
+    return ReducedQso(t.space.m, p)
 
 
 def apply_reduced(q: ReducedQso, y: ReducedDistribution) -> ReducedDistribution:
@@ -515,7 +507,5 @@ def fold(space: GenotypeSpace, lam: Distribution) -> ReducedDistribution:
     ``y_k = 2 * lam(f_k)``."""
     if lam.space != space:
         raise DimensionMismatch("distribution belongs to a different space")
-    if not lam.gender_symmetric():
-        gap = np.abs(lam.female - lam.male).max()
-        raise GenderAsymmetric(f"female/male values differ by {gap}; cannot fold")
+    _check_gender_gap(lam.values, GenderAsymmetric, "female/male values differ by {}; cannot fold")
     return ReducedDistribution(2.0 * lam.female)

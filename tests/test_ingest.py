@@ -119,6 +119,30 @@ def test_estimate_rejects_non_finite_counts(bad):
         estimate_measures(RH, rh_counts(table))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_save_counts_rejects_what_estimate_rejects(tmp_path, bad):
+    # such tables used to be written, and the counts reader then rejected them
+    table = full_counts()
+    table[("-", "+")][("m", "-")] = bad
+    counts = rh_counts(table)
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ValueError) as saved:
+        save_counts(counts, path)
+    assert not path.exists()
+    with pytest.raises(ValueError) as estimated:
+        estimate_measures(RH, counts)
+    assert str(saved.value) == str(estimated.value)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf")])
+def test_measure_family_rejects_infinity(bad):
+    # such a family used to save without error and then fail to load
+    mu = qso.rh_measure_family().mu.copy()
+    mu[0, 0, 0] = bad
+    with pytest.raises(ValueError, match=r"non-finite measure value -?inf at index \(0, 0, 0\)"):
+        qso.MeasureFamily(RH, mu)
+
+
 def test_estimate_converges_statistically():
     # frequencies from multinomial samples approach the true measure
     gen = rng(41)

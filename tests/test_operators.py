@@ -385,6 +385,83 @@ def test_heredity_tensor_rejects_non_finite(bad):
         HeredityTensor(TRAIT, (0.5, 0.5), coeffs)
 
 
+# --- constructor contract ----------------------------------------------------------
+
+RH = build_space([["+", "-"]])
+# each value type with a valid array and the exception class every mutation of
+# that array raises (None: accepted); a MeasureFamily keeps NaN for missing pairs
+CONTRACT = {
+    "Distribution": (lambda v: Distribution(TRAIT, v), [0.2, 0.3, 0.2, 0.3],
+                     {"nan": DistributionOutsideHyperSimplex,
+                      "inf": DistributionOutsideHyperSimplex,
+                      "-inf": DistributionOutsideHyperSimplex, "shape": DimensionMismatch,
+                      "negative": DistributionOutsideHyperSimplex,
+                      "mass": DistributionOutsideHyperSimplex}),
+    "MeasureFamily": (lambda v: MeasureFamily(RH, v), lambda: qso.rh_measure_family().mu,
+                      {"nan": None, "inf": ValueError, "-inf": ValueError,
+                       "shape": DimensionMismatch, "negative": None, "mass": None}),
+    "HeredityTensor": (lambda v: HeredityTensor(RH, (0.5, 0.5), v),
+                       lambda: 2.0 * qso.rh_measure_family().mu,
+                       {"nan": ValueError, "inf": ValueError, "-inf": ValueError,
+                        "shape": DimensionMismatch, "negative": None, "mass": None}),
+    "ReducedQso": (lambda v: qso.ReducedQso(2, v), lambda: qso.rh_model()[0].p,
+                   {"nan": ValueError, "inf": ValueError, "-inf": ValueError,
+                    "shape": DimensionMismatch, "negative": ValueError, "mass": ValueError}),
+    "ReducedDistribution": (ReducedDistribution, [0.3, 0.7],
+                            {"nan": ValueError, "inf": ValueError, "-inf": ValueError,
+                             "shape": DimensionMismatch, "negative": ValueError,
+                             "mass": ValueError}),
+}
+
+
+def valid(values):
+    return np.array(values() if callable(values) else values, dtype=float)
+
+
+def mutated(values, how):
+    v = valid(values)
+    if how == "shape":
+        return v[None]
+    if how == "mass":
+        return v * 1.1
+    if how == "negative":  # the first entry turns negative, every sum is kept
+        v.flat[0] -= 2.0
+        v.flat[1] += 2.0
+    else:
+        v.flat[1] = float(how)
+    return v
+
+
+@pytest.mark.parametrize("how", ["nan", "inf", "-inf", "shape", "negative", "mass"])
+@pytest.mark.parametrize("kind", sorted(CONTRACT))
+def test_constructor_contract(kind, how):
+    build, values, expected = CONTRACT[kind]
+    build(valid(values))
+    if expected[how] is None:
+        build(mutated(values, how))
+    else:
+        with pytest.raises(expected[how]):
+            build(mutated(values, how))
+
+
+def mendelian_64():
+    space = build_space([("A", "a")] * 6)
+    half = random_simplex(rng(64), space.m) / 2.0
+    return mendelian_coefficients(space, Distribution(space, np.concatenate([half, half])))
+
+
+@pytest.mark.parametrize("tensor", [
+    lambda: nonmendelian_coefficients(RH, qso.rh_measure_family().renormalized()),
+    lambda: nonmendelian_coefficients(qso.abo_measure_family().space,
+                                      qso.abo_measure_family().renormalized()),
+    mendelian_64,
+], ids=["rh", "abo", "mendelian-64"])
+def test_reduce_is_bitwise_the_symmetrized_female_block(tensor):
+    t = tensor()
+    fem = t.coefficients[:, :, :t.space.m]
+    assert np.array_equal(reduce_tensor(t).p, 0.5 * (fem + fem.transpose(1, 0, 2)))
+
+
 # --- lift / fold ----------------------------------------------------------------
 
 def test_lift_fold_examples():
