@@ -13,7 +13,9 @@ allele labels by ``,``; multi-component trait labels join alleles with
 
 Counts files carry a ``count`` column instead of ``value``.  Rows of one
 parent pair must be contiguous; missing child rows count as zero; a
-completely missing parent pair is an error.
+completely missing parent pair is an error.  ``save_counts`` runs the
+reader over the text it is about to write, so it cannot write a table
+that ``load_counts`` rejects or reads back differently.
 
 A table is read in one pass: each row is split once, its labels are looked
 up in the space's ``label_table`` and it is checked as it is read, so the
@@ -36,6 +38,7 @@ from .errors import (
     InvariantViolation,
     MissingParentPair,
     ParseError,
+    QsoError,
     SchemaError,
     ZeroTotal,
 )
@@ -194,7 +197,7 @@ def _reject_labels(space: GenotypeSpace, line_no: int, fields: list[str]) -> Non
         raise SchemaError(f"line {line_no}: {exc}") from exc
 
 
-def _parse_table(path, expected_header: str, nonnegative: bool = False):
+def _parse_table(lines: list[str], expected_header: str, nonnegative: bool = False):
     """Parse a table in one pass over its lines.
 
     Returns ``(space, cells, values)``: the declared space, and the flat
@@ -210,7 +213,7 @@ def _parse_table(path, expected_header: str, nonnegative: bool = False):
     seen_cells: set[int] = set()
     pairs: set[int] = set()
     current = None
-    for line_no, line in enumerate(_read_lines(path), start=1):
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -275,7 +278,11 @@ def _parse_table(path, expected_header: str, nonnegative: bool = False):
 
 def load_counts(path) -> CountsTable:
     """Read a counts CSV; missing child rows are implicit zeros."""
-    space, cells, values = _parse_table(path, COUNTS_HEADER, nonnegative=True)
+    return _counts_table(_read_lines(path))
+
+
+def _counts_table(lines: list[str]) -> CountsTable:
+    space, cells, values = _parse_table(lines, COUNTS_HEADER, nonnegative=True)
     labels, _ = space.label_table
     m, total = space.m, space.total
     rows = []
@@ -288,7 +295,7 @@ def load_counts(path) -> CountsTable:
 
 def read_measure_family(path) -> MeasureFamily:
     """Parse a measure-family CSV without checking value invariants."""
-    space, cells, values = _parse_table(path, MEASURE_HEADER)
+    space, cells, values = _parse_table(_read_lines(path), MEASURE_HEADER)
     m = space.m
     cells = np.array(cells, dtype=np.intp)
     mu = np.full((m * m, space.total), np.nan)
@@ -331,11 +338,24 @@ def save_measure_family(family: MeasureFamily, path) -> None:
 
 def save_counts(counts: CountsTable, path) -> None:
     """Write a counts table; integral counts are written without a decimal point.
-    A negative or non-finite count raises ``ValueError`` before anything is written."""
+
+    The reader runs over the text first, and a table that ``load_counts``
+    would reject or read back differently raises ``ValueError`` before
+    anything is written: a negative or non-finite count, any fault the reader
+    finds (an unknown label or gender, a repeated cell, a parent pair whose
+    rows are not contiguous), or a label the reader would strip or skip."""
     lines = [f"# space: {_format_space(counts.space)}", COUNTS_HEADER]
     for row in counts.rows:
         _check_count(row)
         c = float(row.count)
         text = repr(int(c)) if c.is_integer() else repr(c)
         lines.append(f"{row.mother},{row.father},{row.child_gender},{row.child_type},{text}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    try:
+        loaded = _counts_table(_split_lines(text))
+    except QsoError as exc:
+        raise ValueError(f"counts table would not load: {exc}") from exc
+    if loaded != CountsTable(counts.space, tuple(counts.rows)):
+        raise ValueError("counts table would load as a different table: the reader "
+                         "strips labels and skips lines that start with '#'")
+    Path(path).write_text(text, encoding="utf-8")

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import tempfile
@@ -178,10 +179,72 @@ def test_counts_roundtrip(tmp_path):
     path = tmp_path / "counts.csv"
     save_counts(counts, path)
     loaded = load_counts(path)
+    assert loaded == counts
     assert loaded.space == RH
     by_key = {(r.mother, r.father, r.child_gender, r.child_type): r.count
               for r in loaded.rows}
     assert by_key[("+", "+", "f", "+")] == 654.6
+
+
+def write_counts_unchecked(counts, path):
+    """The counts file format with no check at all, to see what the reader
+    makes of a faulty table."""
+    lines = [f"# space: {';'.join(','.join(c) for c in counts.space.components)}",
+             "mother,father,child_gender,child_type,count"]
+    lines += [f"{r.mother},{r.father},{r.child_gender},{r.child_type},{r.count!r}"
+              for r in counts.rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def changed(rows, k, **fields):
+    return rows[:k] + [dataclasses.replace(rows[k], **fields)] + rows[k + 1:]
+
+
+# fault -> the rows of the full Rh table with that fault
+COUNTS_FAULTS = {
+    "first (+, +) row moved to the end": lambda rows: rows[1:] + rows[:1],
+    "repeated cell": lambda rows: rows[:2] + rows[1:],
+    "unknown mother": lambda rows: changed(rows, 5, mother="?"),
+    "unknown father": lambda rows: changed(rows, 5, father="?"),
+    "unknown child type": lambda rows: changed(rows, 5, child_type="?"),
+    "unknown child gender": lambda rows: changed(rows, 5, child_gender="x"),
+    "comma in a label": lambda rows: changed(rows, 5, mother="+,-"),
+    "line break in a label": lambda rows: changed(rows, 5, child_type="+\n-"),
+    "negative count": lambda rows: changed(rows, 5, count=-1.0),
+    "nan count": lambda rows: changed(rows, 5, count=float("nan")),
+    "inf count": lambda rows: changed(rows, 5, count=float("inf")),
+    "-inf count": lambda rows: changed(rows, 5, count=-float("inf")),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(COUNTS_FAULTS))
+def test_save_counts_refuses_every_table_load_counts_rejects(tmp_path, fault):
+    counts = CountsTable(RH, tuple(COUNTS_FAULTS[fault](list(rh_counts(full_counts()).rows))))
+    unchecked = tmp_path / "unchecked.csv"
+    write_counts_unchecked(counts, unchecked)
+    with pytest.raises(QsoError) as loaded:
+        load_counts(unchecked)
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ValueError) as saved:
+        save_counts(counts, path)
+    assert not path.exists()
+    if isinstance(loaded.value, SchemaError):
+        # the writer runs the reader: same message, same line
+        assert str(saved.value) == f"counts table would not load: {loaded.value}"
+
+
+@pytest.mark.parametrize("mother", ["#+", " +"])
+def test_save_counts_refuses_a_table_that_reads_back_differently(tmp_path, mother):
+    # the reader skips a line that starts with '#' and strips every field
+    counts = CountsTable(RH, tuple(changed(list(rh_counts(full_counts()).rows), 0,
+                                           mother=mother)))
+    unchecked = tmp_path / "unchecked.csv"
+    write_counts_unchecked(counts, unchecked)
+    assert load_counts(unchecked) != counts
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ValueError, match="would load as a different table"):
+        save_counts(counts, path)
+    assert not path.exists()
 
 
 def test_load_accepts_crlf(tmp_path):

@@ -6,6 +6,8 @@ the same floating-point operations in the same order, so everything it
 returns must be bitwise equal to this oracle, not merely close.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,43 @@ def test_find_fixed_point_from_fixed_start_takes_no_steps():
     assert report.iterations == 0
     assert report.residual == 0.0
     assert np.array_equal(report.point.values, vertex)
+
+
+def test_kernel_calls_the_c_routine_np_einsum_forwards_to():
+    # np.einsum(..., optimize=False) passes its arguments to this routine
+    # unchanged, so calling it directly cannot change a bit of any result
+    implementation = getattr(np.einsum, "_implementation", None)
+    if implementation is None:
+        pytest.skip("this NumPy's einsum has no _implementation to inspect")
+    assert qso.dynamics._c_einsum is implementation.__globals__["c_einsum"]
+
+
+def test_stride_one_orbit_holds_one_copy_of_its_rows():
+    q = cyclic_shift_operator()
+    y0 = ReducedDistribution([0.5, 0.3, 0.2])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        traj = iterate(q, y0, max_iters=200_000, tol=1e-300)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert traj.iterations == 200_000
+    assert peak < 1.2 * (traj.points.nbytes + traj.indices.nbytes)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10**6])
+@pytest.mark.parametrize("name,max_iters,converges", [
+    ("cyclic", 0, False), ("cyclic", 1, False), ("cyclic", 1024, False),
+    ("cyclic", 1025, False), ("rh", 10**6, True),
+])
+def test_recorded_points_own_their_rows(name, max_iters, converges, stride):
+    make, y0 = SMALL_CASES[name]
+    traj = iterate(make(), ReducedDistribution(y0), max_iters=max_iters, stride=stride)
+    assert traj.converged == converges
+    assert traj.points.flags.owndata and traj.points.base is None
+    assert traj.points.shape == (len(traj.indices), len(y0))
 
 
 @st.composite

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qso
 from qso import (
@@ -29,6 +30,7 @@ from qso.errors import (
     NotOneToOne,
     ZeroMassOffspringSet,
 )
+from qso.operators import ROUNDING_TOL, reduced_step
 from qso.operators import reduce as reduce_tensor
 
 from helpers import (
@@ -506,3 +508,45 @@ def test_reduction_equivalence_small():
         via_full = fold(space, apply_canonical(t, lift(space, y)))
         via_reduced = apply_reduced(q, y)
         assert np.abs(via_full.values - via_reduced.values).max() < 1e-12
+
+
+# --- lift / fold / reduce properties ---------------------------------------------
+
+@st.composite
+def mendelian_spaces(draw):
+    """One to three components of two or three alleles (m <= 27)."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    return build_space([[f"{chr(ord('a') + c)}{k}" for k in range(size)]
+                        for c, size in enumerate(sizes)])
+
+
+@st.composite
+def simplex_points(draw, n):
+    """A point of the (n-1)-simplex from arbitrary weights, zeros included.
+    Weights are 0 or at least 1e-300, so no coordinate is subnormal: halving
+    a subnormal rounds, and then no fold can undo lift exactly."""
+    w = draw(arrays(np.float64, n, elements=st.one_of(st.just(0.0), st.floats(1e-300, 1.0))))
+    assume(w.sum() > 0.0)
+    return ReducedDistribution(w / w.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fold_undoes_lift_exactly(data):
+    space = data.draw(mendelian_spaces())
+    y = data.draw(simplex_points(space.m))
+    assert np.array_equal(fold(space, lift(space, y)).values, y.values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_reduced_step_agrees_with_the_canonical_operator(data, seed):
+    # the reduced operator of a Mendelian tensor, against one canonical step
+    # of the full tensor at the gender-symmetric lift of the same point
+    space = data.draw(mendelian_spaces())
+    half = random_simplex(rng(seed), space.m) / 2.0
+    t = mendelian_coefficients(space, Distribution(space, np.concatenate([half, half])))
+    y = data.draw(simplex_points(space.m))
+    via_full = fold(space, apply_canonical(t, lift(space, y)))
+    via_reduced = reduced_step(reduce_tensor(t), y.values)
+    assert np.abs(via_full.values - via_reduced).max() <= ROUNDING_TOL
