@@ -43,7 +43,7 @@ from .errors import (
     ZeroTotal,
 )
 from .genotype import GENDERS, GenotypeSpace, build_space
-from .operators import TABLE_TOL, MeasureFamily, ValidationReport, _check_gender_gap
+from .operators import TABLE_TOL, MeasureFamily, ValidationReport, _check_gender_gap, _frozen
 
 MEASURE_HEADER = "mother,father,child_gender,child_type,value"
 COUNTS_HEADER = "mother,father,child_gender,child_type,count"
@@ -130,7 +130,7 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
     else:
         _check_gender_gap(mu, AsymmetricMeasure, "counts are gender-asymmetric (max frequency "
                           "gap {}); pass symmetrize=True to pool genders")
-    return MeasureFamily(space, mu)
+    return MeasureFamily(space, _frozen(mu))
 
 
 # --- CSV plumbing -----------------------------------------------------------
@@ -298,13 +298,13 @@ def read_measure_family(path) -> MeasureFamily:
     space, cells, values = _parse_table(_read_lines(path), MEASURE_HEADER)
     m = space.m
     cells = np.array(cells, dtype=np.intp)
-    mu = np.full((m * m, space.total), np.nan)
+    mu = np.full((m, m, space.total), np.nan)
     mu.reshape(-1)[cells] = values
     # missing child rows within a declared pair are zeros
     declared = np.zeros(m * m, dtype=bool)
     declared[cells // space.total] = True
-    mu[np.isnan(mu) & declared[:, None]] = 0.0
-    return MeasureFamily(space, mu.reshape(m, m, space.total))
+    mu[np.isnan(mu) & declared.reshape(m, m, 1)] = 0.0
+    return MeasureFamily(space, _frozen(mu))
 
 
 def load_measure_family(path, tol: float = TABLE_TOL) -> MeasureFamily:

@@ -28,6 +28,7 @@ from .operators import (
     Distribution,
     MeasureFamily,
     ReducedQso,
+    _frozen,
     nonmendelian_coefficients,
     reduce,
 )
@@ -74,7 +75,7 @@ def mendelian_trait(alpha: float) -> ReducedQso:
     p[0, 0, 0] = 1.0
     p[0, 1, 0] = p[1, 0, 0] = 2.0 * alpha
     p[:, :, 1] = 1.0 - p[:, :, 0]
-    return ReducedQso(2, p)
+    return ReducedQso(2, _frozen(p))
 
 
 def multi_allele(alphas) -> ReducedQso:
@@ -95,7 +96,7 @@ def multi_allele(alphas) -> ReducedQso:
         for j in range(n):
             if j != i:
                 p[i, j, i] = p[j, i, i] = arr[i] / (arr[i] + arr[j])
-    return ReducedQso(n, p)
+    return ReducedQso(n, _frozen(p))
 
 
 # --- embedded tables --------------------------------------------------------

@@ -13,10 +13,17 @@ of per-component masks), and the validators reduce every pair's row at once.
 Both are bitwise equal to per-pair loops; summing zero-padded rows for the
 offspring-set masses instead would move coefficients by up to 4 ulp.
 
-Every value type copies its arrays through ``_checked``: read-only, of the
+Every value type stores its arrays through ``_checked``: read-only, of the
 declared shape, and finite, since NaN passes every range check.  Only a
 ``MeasureFamily`` keeps NaN, which marks a missing pair; boolean support masks
-are not scanned.  The female/male gap is checked only by ``_check_gender_gap``.
+are not scanned.  An array that already has the declared dtype, owns its data
+and is read-only is adopted as it is; every other input (a writable array, a
+view, another dtype, a list) is copied, so later writes to it cannot reach the
+stored value.  The builders here mark their fresh results read-only, so a
+large tensor is never copied on construction.  The female/male gap is checked
+only by ``_check_gender_gap``.  The checks that need full-size temporaries
+(that gap, the reduced operator's parent symmetry and the ratio and support
+checks of ``_pair_violations``) walk the first axis in blocks of about 1 MiB.
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
@@ -54,14 +61,26 @@ TABLE_TOL = 1e-3      # published tables are rounded to ~4 decimals
 CLASSIFY_MARGIN = 1e-6  # spectral radii within 1 +- this classify as neutral
 _DEGENERATE_TOL = 1e-15  # a closed-form quadratic coefficient below this is zero
 _NEWTON_FLOOR = 1e-17    # per-type residual at which the Newton polish stops
+_BLOCK_BYTES = 1 << 20   # input bytes per block of the blocked checks
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so that ``_checked`` adopts it."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _checked(obj, field: str, shape: tuple[int, ...] | None, what: str,
              error: type[Exception] = ValueError, dtype=float, nan_ok=False) -> np.ndarray:
-    """Set ``obj.field`` to a read-only copy with ``shape`` (``None``: any nonempty
-    vector) and return it.  Float entries must be finite, or NaN when ``nan_ok``;
-    the first other one raises ``error``.  Boolean arrays are not scanned."""
-    arr = np.array(getattr(obj, field), dtype=dtype)
+    """Set ``obj.field`` to a read-only array with ``shape`` (``None``: any nonempty
+    vector) and return it.  A read-only ndarray of ``dtype`` that owns its data is
+    adopted; anything else is copied.  Float entries must be finite, or NaN when
+    ``nan_ok``; the first other one raises ``error``.  Boolean arrays are not
+    scanned."""
+    arr = getattr(obj, field)
+    if not (type(arr) is np.ndarray and arr.dtype == dtype and arr.flags.owndata
+            and not arr.flags.writeable):
+        arr = np.array(arr, dtype=dtype)
     if (arr.shape != shape) if shape else (arr.ndim != 1 or arr.size == 0):
         raise DimensionMismatch(
             f"{what} array has shape {arr.shape}, expected {shape or 'a nonempty vector'}")
@@ -75,12 +94,28 @@ def _checked(obj, field: str, shape: tuple[int, ...] | None, what: str,
     return arr
 
 
+def _blocks(arr: np.ndarray) -> list[slice]:
+    """Slices of ``arr``'s first axis, each about ``_BLOCK_BYTES`` of it and at
+    least one index long, so a check over them needs no full-size temporary."""
+    step = max(1, _BLOCK_BYTES // max(1, arr[:1].nbytes))
+    return [slice(start, start + step) for start in range(0, len(arr), step)]
+
+
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """``max |a - b|`` with one temporary, freed on return."""
+    diff = np.subtract(a, b)
+    return np.abs(diff, out=diff).max()
+
+
 def _check_gender_gap(values: np.ndarray, error: type[Exception], message: str) -> None:
     """Raise ``error(message.format(gap))`` if the largest ``|female - male|`` over
-    the last axis (female half first) exceeds ``SYMMETRY_TOL``."""
+    the last axis (female half first) exceeds ``SYMMETRY_TOL``.  A NaN gap is
+    not flagged."""
+    values = np.atleast_2d(values)
     m = values.shape[-1] // 2
-    gap = np.subtract(values[..., :m], values[..., m:])
-    gap = np.abs(gap, out=gap).max()
+    # np.max propagates a NaN block maximum as the whole-array max does
+    gap = np.max([_max_abs_diff(values[b, ..., :m], values[b, ..., m:])
+                  for b in _blocks(values)])
     if gap > SYMMETRY_TOL:
         raise error(message.format(gap))
 
@@ -118,7 +153,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, space: GenotypeSpace) -> "Distribution":
-        return cls(space, np.full(space.total, 1.0 / space.total))
+        return cls(space, _frozen(np.full(space.total, 1.0 / space.total)))
 
     @property
     def female(self) -> np.ndarray:
@@ -148,7 +183,7 @@ class MeasureFamily:
     @classmethod
     def uniform(cls, space: GenotypeSpace) -> "MeasureFamily":
         mu = np.full((space.m, space.m, space.total), 1.0 / space.total)
-        return cls(space, mu)
+        return cls(space, _frozen(mu))
 
     @classmethod
     def from_dict(cls, space: GenotypeSpace, rows: dict) -> "MeasureFamily":
@@ -159,7 +194,7 @@ class MeasureFamily:
         mu = np.full((space.m, space.m, space.total), np.nan)
         for (i, j), row in rows.items():
             mu[i, j] = np.asarray(row, dtype=float)
-        return cls(space, mu)
+        return cls(space, _frozen(mu))
 
     def missing_pairs(self) -> list[tuple[int, int]]:
         bad = np.isnan(self.mu).any(axis=2)
@@ -174,7 +209,7 @@ class MeasureFamily:
         sums = self.mu.sum(axis=2, keepdims=True)
         if np.any(sums <= 0):
             raise ZeroMassOffspringSet("cannot renormalize a zero-mass measure row")
-        return MeasureFamily(self.space, self.mu / sums)
+        return MeasureFamily(self.space, _frozen(self.mu / sums))
 
     def validate(self, tol: float = TABLE_TOL) -> list["Violation"]:
         """Report invariant violations: coverage, negativity, row sums,
@@ -316,7 +351,7 @@ def mendelian_coefficients(space: GenotypeSpace, mu0: Distribution) -> HeredityT
     coeffs = np.where(support, mu0.values, 0.0)
     coeffs *= 2.0
     coeffs /= mass[:, :, None]
-    return HeredityTensor(space, (0.5, 0.5), coeffs, support)
+    return HeredityTensor(space, (0.5, 0.5), _frozen(coeffs), _frozen(support))
 
 
 def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> HeredityTensor:
@@ -341,8 +376,8 @@ def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> He
         raise ValueError(
             f"measure rows deviate from unit mass by {worst}; renormalize first"
         )
-    return HeredityTensor(space, (0.5, 0.5), 2.0 * family.mu,
-                          np.ones(family.mu.shape, dtype=bool))
+    return HeredityTensor(space, (0.5, 0.5), _frozen(2.0 * family.mu),
+                          _frozen(np.ones(family.mu.shape, dtype=bool)))
 
 
 def _pair_violations(space: GenotypeSpace, rows: np.ndarray, tol: float,
@@ -366,18 +401,23 @@ def _pair_violations(space: GenotypeSpace, rows: np.ndarray, tol: float,
     low[negative] = rows[negative].argmin(axis=1)
     total = rows.sum(axis=2)
     miss = np.abs(total - expected)
-    cross = np.multiply(rows[:, :, :m], wq)
-    cross -= np.multiply(rows[:, :, m:], wp)
-    np.abs(cross, out=cross)
-    worst, gap = cross.argmax(axis=2), cross.max(axis=2)
-    del cross  # before the (m, m, 2m) off-support array
+    worst, gap = np.empty(smallest.shape, dtype=np.intp), np.empty(smallest.shape)
+    for b in _blocks(rows):
+        cross = np.multiply(rows[b, :, :m], wq)
+        cross -= np.multiply(rows[b, :, m:], wp)
+        np.abs(cross, out=cross)
+        worst[b], gap[b] = cross.argmax(axis=2), cross.max(axis=2)
+        del cross  # before the next block's
     checks = [("negative", negative, low, smallest, smallest, None),
               ("normalization", miss > tol, None, miss, total, None),
               ("ratio", gap > tol, worst, gap, gap, space.trait_label)]
     if support is not None:
-        off = np.abs(rows)
-        np.copyto(off, 0.0, where=support)
-        far, reach = off.argmax(axis=2), off.max(axis=2)
+        far, reach = np.empty_like(worst), np.empty_like(gap)
+        for b in _blocks(rows):
+            off = np.abs(rows[b])
+            np.copyto(off, 0.0, where=support[b])
+            far[b], reach[b] = off.argmax(axis=2), off.max(axis=2)
+            del off
         signed = np.take_along_axis(rows, far[..., None], axis=2)[..., 0]
         checks.append(("support", reach > tol, far, reach, signed, space.label))
     flagged = np.logical_or.reduce([bad for _, bad, *_ in checks])
@@ -418,7 +458,7 @@ def apply_canonical(t: HeredityTensor, lam: Distribution) -> Distribution:
             f"distribution has female mass {lam.p_ratio[0]}, tensor expects {t.p_ratio[0]}"
         )
     out = 2.0 * np.einsum("ijs,i,j->s", t.coefficients, lam.female, lam.male)
-    return Distribution(t.space, out, t.p_ratio)
+    return Distribution(t.space, _frozen(out), t.p_ratio)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,8 +474,8 @@ class ReducedQso:
         arr = _checked(self, "p", (self.n, self.n, self.n), "reduced coefficient")
         if arr.min() < -ROUNDING_TOL:
             raise ValueError(f"negative reduced coefficient {arr.min()}")
-        sym = np.subtract(arr, arr.transpose(1, 0, 2))
-        sym = np.abs(sym, out=sym).max()
+        sym = np.max([_max_abs_diff(arr[b], arr[:, b].transpose(1, 0, 2))
+                      for b in _blocks(arr)])
         if sym > ROUNDING_TOL:
             raise ValueError(f"reduced tensor not symmetric in parents (max gap {sym})")
         stoch = np.abs(arr.sum(axis=2) - 1.0).max()
@@ -461,7 +501,7 @@ class ReducedDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "ReducedDistribution":
-        return cls(np.full(n, 1.0 / n))
+        return cls(_frozen(np.full(n, 1.0 / n)))
 
     @property
     def n(self) -> int:
@@ -483,14 +523,14 @@ def reduce(t: HeredityTensor) -> ReducedQso:
     fem = t.coefficients[:, :, :t.space.m]
     p = fem + fem.transpose(1, 0, 2)
     p *= 0.5  # one temporary; bitwise equal to 0.5 * (fem + fem.T)
-    return ReducedQso(t.space.m, p)
+    return ReducedQso(t.space.m, _frozen(p))
 
 
 def apply_reduced(q: ReducedQso, y: ReducedDistribution) -> ReducedDistribution:
     """One step of the reduced operator (exact quadratic form, no renormalization)."""
     if y.n != q.n:
         raise DimensionMismatch(f"distribution has {y.n} types, operator expects {q.n}")
-    return ReducedDistribution(reduced_step(q, y.values))
+    return ReducedDistribution(_frozen(reduced_step(q, y.values)))
 
 
 def reduced_step(q: ReducedQso, y: np.ndarray) -> np.ndarray:
@@ -504,13 +544,15 @@ def lift(space: GenotypeSpace, y: ReducedDistribution) -> Distribution:
     if y.n != space.m:
         raise DimensionMismatch(f"reduced point has {y.n} types, space has {space.m}")
     half = y.values / 2.0
-    return Distribution(space, np.concatenate([half, half]))
+    return Distribution(space, _frozen(np.concatenate([half, half])))
 
 
 def fold(space: GenotypeSpace, lam: Distribution) -> ReducedDistribution:
     """Inverse of :func:`lift` for gender-symmetric distributions:
-    ``y_k = 2 * lam(f_k)``."""
+    ``y_k = 2 * lam(f_k)``.  ``fold(lift(y))`` is ``y`` exactly only when no
+    coordinate of ``y`` is subnormal: ``lift`` halves, and halving a subnormal
+    rounds."""
     if lam.space != space:
         raise DimensionMismatch("distribution belongs to a different space")
     _check_gender_gap(lam.values, GenderAsymmetric, "female/male values differ by {}; cannot fold")
-    return ReducedDistribution(2.0 * lam.female)
+    return ReducedDistribution(_frozen(2.0 * lam.female))

@@ -446,6 +446,46 @@ def test_constructor_contract(kind, how):
             build(mutated(values, how))
 
 
+FIELD = {"Distribution": "values", "MeasureFamily": "mu", "HeredityTensor": "coefficients",
+         "ReducedQso": "p", "ReducedDistribution": "values"}
+
+
+def owned_read_only(values, dtype=float):
+    v = np.array(valid(values), dtype=dtype)
+    v.setflags(write=False)
+    return v
+
+
+def read_only_view(values):
+    base = valid(values)
+    view = base[...]
+    view.setflags(write=False)
+    return base, view
+
+
+@pytest.mark.parametrize("source", ["writable", "read-only view", "wrong dtype",
+                                    "read-only owned"])
+@pytest.mark.parametrize("kind", sorted(CONTRACT))
+def test_constructor_copies_unless_it_can_adopt(kind, source):
+    # only a read-only float64 array that owns its data is adopted; the
+    # caller can change anything else later, so it is copied
+    build, values, _ = CONTRACT[kind]
+    if source == "writable":
+        given = writer = valid(values)
+    elif source == "read-only view":
+        writer, given = read_only_view(values)
+    else:  # a big-endian copy holds the same values in another dtype
+        given = writer = owned_read_only(values, ">f8" if source == "wrong dtype" else float)
+    before = valid(values)
+    stored = getattr(build(given), FIELD[kind])
+    assert not stored.flags.writeable
+    assert np.shares_memory(stored, given) == (source == "read-only owned")
+    if source != "read-only owned":
+        writer.setflags(write=True)
+        writer.flat[0] += 1.0
+        assert np.array_equal(stored, before, equal_nan=True)
+
+
 def mendelian_64():
     space = build_space([("A", "a")] * 6)
     half = random_simplex(rng(64), space.m) / 2.0
@@ -550,3 +590,19 @@ def test_reduced_step_agrees_with_the_canonical_operator(data, seed):
     via_full = fold(space, apply_canonical(t, lift(space, y)))
     via_reduced = reduced_step(reduce_tensor(t), y.values)
     assert np.abs(via_full.values - via_reduced).max() <= ROUNDING_TOL
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), p=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_canonical_operator_keeps_the_pq_ratio(data, p, seed):
+    # a tensor with the p:q property maps the p:q hyper-simplex into itself
+    # and puts every child's female and male copies in p:q proportion
+    space = data.draw(mendelian_spaces())
+    gen = rng(seed)
+    t = random_pq_tensor(gen, space, p)
+    lam = random_hyper_point(gen, space, p)
+    for _ in range(3):
+        lam = apply_canonical(t, lam)
+        assert lam.p_ratio == t.p_ratio
+        assert abs(lam.female.sum() - p) <= ROUNDING_TOL
+        assert np.abs((1.0 - p) * lam.female - p * lam.male).max() <= ROUNDING_TOL
