@@ -49,7 +49,7 @@ MEASURE_HEADER = "mother,father,child_gender,child_type,value"
 COUNTS_HEADER = "mother,father,child_gender,child_type,count"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountRow:
     mother: str
     father: str

@@ -22,8 +22,9 @@ view, another dtype, a list) is copied, so later writes to it cannot reach the
 stored value.  The builders here mark their fresh results read-only, so a
 large tensor is never copied on construction.  The female/male gap is checked
 only by ``_check_gender_gap``.  The checks that need full-size temporaries
-(that gap, the reduced operator's parent symmetry and the ratio and support
-checks of ``_pair_violations``) walk the first axis in blocks of about 1 MiB.
+(the finiteness scan, that gap, the reduced operator's parent symmetry and
+the ratio and support checks of ``_pair_violations``) walk the first axis in
+blocks of about 1 MiB.
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
@@ -85,10 +86,12 @@ def _checked(obj, field: str, shape: tuple[int, ...] | None, what: str,
         raise DimensionMismatch(
             f"{what} array has shape {arr.shape}, expected {shape or 'a nonempty vector'}")
     if arr.dtype != bool:
-        bad = np.isinf(arr) if nan_ok else ~np.isfinite(arr)
-        if bad.any():
-            at = np.unravel_index(int(bad.argmax()), arr.shape)
-            raise error(f"non-finite {what} {arr[at]} at index {tuple(map(int, at))}")
+        row = arr[:1].size  # entries per index of the first axis
+        for b in _blocks(arr):
+            bad = np.isinf(arr[b]) if nan_ok else ~np.isfinite(arr[b])
+            if bad.any():
+                at = np.unravel_index(b.start * row + int(bad.argmax()), arr.shape)
+                raise error(f"non-finite {what} {arr[at]} at index {tuple(map(int, at))}")
     arr.setflags(write=False)
     object.__setattr__(obj, field, arr)
     return arr

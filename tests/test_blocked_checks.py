@@ -1,16 +1,17 @@
 """Blocked checks against the whole-array formulas they replaced, and the
 memory bound that blocking and array adoption keep.
 
-``whole_array_gender_gap``, ``whole_array_reduced_checks`` and
-``whole_array_pair_violations`` are the checks as they were before they
-walked the first axis in blocks.  Blocking only regroups which rows are
-reduced together; each value, maximum and argmax is the same, so reports,
-values and exception messages must be equal, not merely close.  Most cases
-also run with the block size shrunk, so that every array spans several
-blocks and the last one is partial.
+``whole_array_finite_scan``, ``whole_array_gender_gap``,
+``whole_array_reduced_checks`` and ``whole_array_pair_violations`` are the
+checks as they were before they walked the first axis in blocks.  Blocking
+only regroups which rows are reduced together; each value, maximum and
+argmax is the same, so reports, values and exception messages must be
+equal, not merely close.  Most cases also run with the block size shrunk,
+so that every array spans several blocks and the last one is partial.
 """
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -30,6 +31,13 @@ from qso.operators import MASS_TOL, ROUNDING_TOL, SYMMETRY_TOL, _pair_label
 from qso.operators import reduce as reduce_tensor
 
 from helpers import random_simplex, random_symmetric_family, rng
+
+
+def whole_array_finite_scan(arr, what, error, nan_ok):
+    bad = np.isinf(arr) if nan_ok else ~np.isfinite(arr)
+    if bad.any():
+        at = np.unravel_index(int(bad.argmax()), arr.shape)
+        raise error(f"non-finite {what} {arr[at]} at index {tuple(map(int, at))}")
 
 
 def whole_array_gender_gap(values, error, message):
@@ -266,3 +274,71 @@ def test_blocked_checks_hold_few_blocks_at_m_64():
     assert validate <= held + slack
     assert reduce <= held + q.p.nbytes + slack
 
+
+
+def blocked_finite_scan(arr, what, error, nan_ok):
+    operators._checked(types.SimpleNamespace(values=arr), "values", arr.shape, what, error,
+                       nan_ok=nan_ok)
+
+
+def boundary_entries(arr):
+    """Flat indices of the last entry before and the first entry of the second
+    and the last block, and of the array's first and last entries."""
+    row = arr[:1].size
+    starts = [b.start for b in operators._blocks(arr)[1:]]
+    at = {0, arr.size - 1}
+    for start in starts[:1] + starts[-1:]:
+        at |= {start * row - 1, start * row}
+    return sorted(at)
+
+
+@pytest.mark.parametrize("shape", [(72,), (36, 72), (36, 36, 36), (36, 36, 72)])
+def test_finite_scan_matches_the_whole_array_formula(block_bytes, shape):
+    values = random_simplex(rng(750), int(np.prod(shape))).reshape(shape)
+    at = boundary_entries(values)
+    assert len(at) >= 2
+    raised = 0
+    for nan_ok in (False, True):
+        cases = [[(i, v)] for i in at for v in (np.nan, np.inf, -np.inf)]
+        cases += [[(i, np.nan), (j, np.inf)] for i, j in zip(at, at[1:])]
+        cases += [[(i, -np.inf), (j, np.nan)] for i, j in zip(at, at[1:])]
+        for bad in cases:
+            arr = values.copy()
+            for i, v in bad:
+                arr.flat[i] = v
+            expected = outcome(whole_array_finite_scan, arr, "value", ValueError, nan_ok)
+            assert outcome(blocked_finite_scan, arr, "value", ValueError, nan_ok) == expected
+            raised += expected is not None
+    # every case but a lone NaN where NaN is allowed
+    assert raised == (3 + 2) * len(at) + 4 * (len(at) - 1)
+
+
+def test_constructors_report_the_first_bad_entry_across_blocks(block_bytes):
+    family = random_symmetric_family(rng(760), SPACE_36).mu.copy()
+    family[30, 5, 7] = np.nan  # a missing pair, kept
+    family[31, 0, 0] = np.inf
+    family[35, 35, 71] = -np.inf
+    message = r"^non-finite measure value inf at index \(31, 0, 0\)$"
+    with pytest.raises(ValueError, match=message):
+        MeasureFamily(SPACE_36, family)
+    p = next(reduced_inputs(36))
+    p[35, 35, 35] = np.inf
+    p[20, 0, 0] = np.nan
+    expected = outcome(whole_array_finite_scan, p, "reduced coefficient", ValueError, False)
+    assert outcome(qso.ReducedQso, 36, p) == expected
+    assert expected[1] == "non-finite reduced coefficient nan at index (20, 0, 0)"
+
+
+def test_finite_scan_holds_no_full_size_mask():
+    # a 16 MiB tensor: the whole-array scan built two 2 MiB boolean masks
+    arr = np.zeros((128, 128, 128))
+    arr.setflags(write=False)
+    holder = types.SimpleNamespace(values=arr)
+    tracemalloc.start()
+    try:
+        operators._checked(holder, "values", arr.shape, "value")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holder.values is arr
+    assert peak < operators._BLOCK_BYTES // 2

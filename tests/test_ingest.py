@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -184,6 +185,26 @@ def test_counts_roundtrip(tmp_path):
     by_key = {(r.mother, r.father, r.child_gender, r.child_type): r.count
               for r in loaded.rows}
     assert by_key[("+", "+", "f", "+")] == 654.6
+
+
+def test_count_row_is_an_immutable_value():
+    row = CountRow("+", "-", "f", "+", 3.0)
+    assert row == CountRow(mother="+", father="-", child_gender="f", child_type="+",
+                           count=3.0)
+    assert (row.mother, row.father, row.child_gender, row.child_type, row.count) == \
+        ("+", "-", "f", "+", 3.0)
+    assert row != CountRow("+", "-", "f", "+", 4.0)
+    assert row != ("+", "-", "f", "+", 3.0)  # a row, not a tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.count = 4.0
+    with pytest.raises((AttributeError, TypeError)):
+        row.note = "x"  # slots: no other attribute either
+    assert not hasattr(row, "__dict__")
+    assert hash(row) == hash(CountRow("+", "-", "f", "+", 3.0))
+    assert len({row, CountRow("+", "-", "f", "+", 3.0)}) == 1
+    copy = pickle.loads(pickle.dumps(row))
+    assert copy == row and type(copy) is CountRow
+    assert dataclasses.replace(row, count=5.0) == CountRow("+", "-", "f", "+", 5.0)
 
 
 def write_counts_unchecked(counts, path):

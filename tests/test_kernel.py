@@ -6,6 +6,9 @@ the same floating-point operations in the same order, so everything it
 returns must be bitwise equal to this oracle, not merely close.
 """
 
+import functools
+import operator
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -16,7 +19,9 @@ from hypothesis.extra.numpy import arrays
 
 import qso
 from qso import Distribution, ReducedDistribution, ReducedQso, build_space
+from qso import dynamics
 from qso.dynamics import find_fixed_point, iterate
+from qso.operators import ROUNDING_TOL, _c_einsum
 
 from helpers import cyclic_shift_operator, random_simplex, rng
 
@@ -237,3 +242,210 @@ def test_every_recorded_row_stays_on_the_simplex(q, start, max_iters, stride):
     assert traj.iterations <= max_iters
     assert np.abs(traj.points.sum(axis=1) - 1.0).max() <= 1e-12
     assert traj.points.min() >= -1e-12
+
+
+# Operators with n <= 4 step in Python floats.  That step repeats two NumPy
+# summation orders, pinned here: a NumPy that changes either fails these
+# tests first, rather than only the bitwise oracles above.
+
+def spread_magnitudes(gen, shape):
+    """Positive values with magnitudes from 1e-8 to 1, where the grouping
+    of a sum shows in its last bits."""
+    return gen.random(shape) * 10.0 ** gen.uniform(-8.0, 0.0, shape)
+
+
+def test_add_reduce_of_up_to_four_elements_is_the_left_fold():
+    gen = rng(801)
+    regrouped = 0
+    for _ in range(4000):
+        values = spread_magnitudes(gen, int(gen.integers(1, 5)))
+        floats = values.tolist()
+        assert np.add.reduce(values) == functools.reduce(operator.add, floats)
+        # the other grouping, o0 + (o1 + o2 + ...), is a different sum
+        regrouped += floats[0] + functools.reduce(operator.add, floats[1:], 0.0) \
+            != np.add.reduce(values)
+    assert regrouped > 200
+
+
+def left_sum(terms):
+    """``terms`` added one by one to 0.0."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def test_c_einsum_adds_its_terms_in_i_j_order():
+    gen = rng(802)
+    regrouped = 0
+    for _ in range(1000):
+        n = int(gen.integers(1, 5))
+        p = spread_magnitudes(gen, (n, n, n)).tolist()
+        y = spread_magnitudes(gen, n)
+        out = _c_einsum("ijk,i,j->k", np.array(p), y, y)
+        y = y.tolist()
+        for k in range(n):
+            terms = [[(p[i][j][k] * y[i]) * y[j] for j in range(n)] for i in range(n)]
+            assert out[k] == left_sum(term for row in terms for term in row)
+            # summing each i's terms first is a different sum
+            regrouped += left_sum(map(left_sum, terms)) != out[k]
+    assert regrouped > 50
+
+
+@st.composite
+def signed_zero_qso(draw):
+    """Symmetric operators at n = 1..4 whose coefficients include 0.0, -0.0
+    and negatives down to -ROUNDING_TOL, as the constructor admits."""
+    n = draw(st.integers(1, 4))
+    w = draw(arrays(np.float64, (n, n, n), elements=st.floats(0.0, 1.0)))
+    kind = draw(arrays(np.int8, (n, n, n), elements=st.integers(0, 3)))
+    upper = np.triu(np.ones((n, n), dtype=bool))[..., None]
+    w = np.where(upper, w, w.transpose(1, 0, 2))
+    kind = np.where(upper, kind, kind.transpose(1, 0, 2))
+    keep = (kind == 0) & (w > 0.0)
+    empty = ~keep.any(axis=2)
+    keep[empty, 0] = True  # a pair with no kept child has child 0 only
+    w = np.where(empty[..., None], 1.0, w)
+    p = np.where(keep, w, 0.0)
+    p /= p.sum(axis=2, keepdims=True)
+    p[~keep & (kind == 2)] = -0.0
+    p[~keep & (kind == 3)] = -draw(st.floats(0.0, ROUNDING_TOL))
+    return ReducedQso(n, p)
+
+
+@st.composite
+def start_with_zeros(draw, n):
+    """Points of the simplex, often with zero or subnormal coordinates."""
+    y = draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+    if not y.any():
+        y[draw(st.integers(0, n - 1))] = 1.0
+    return y / y.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), q=signed_zero_qso(), max_iters=st.integers(0, 1100),
+       stride=st.integers(1, 40), tol=st.sampled_from([1e-300, 1e-12, 1e-6]))
+def test_scalar_step_iterate_matches_per_step_loop_bitwise(data, q, max_iters, stride, tol):
+    # negative coefficients can drive an orbit off the simplex to inf and NaN,
+    # which must match too, so every float is compared by its bytes
+    y0 = data.draw(start_with_zeros(q.n))
+    with np.errstate(all="ignore"):
+        traj = iterate(q, ReducedDistribution(y0), max_iters=max_iters, tol=tol,
+                       stride=stride)
+        points, indices, converged, k, residual = per_step_orbit(q, y0, max_iters, tol,
+                                                                 stride)
+    assert traj.points.shape == points.shape
+    assert traj.points.tobytes() == points.tobytes()
+    assert np.array_equal(traj.indices, indices)
+    assert (traj.iterations, traj.converged) == (k, converged)
+    assert np.float64(traj.final_residual).tobytes() == np.float64(residual).tobytes()
+
+
+def test_scalar_step_leaves_a_zero_total_to_einsum():
+    # from (1, -1) the trait operator at alpha = 1/4 maps to (0, 0): Python
+    # cannot divide by that total, NumPy gives the NaN row the oracle keeps
+    q = qso.mendelian_trait(0.25)
+    y0 = np.array([1.0, -1.0])
+    with np.errstate(all="ignore"):
+        points, k, residual, converged = dynamics._orbit(q, y0, 2.0, 20, 1e-12, 1)
+        expected, _, _, k_expected, _ = per_step_orbit(q, y0, 20, 1e-12, 1)
+    assert np.isnan(points[1:]).all()
+    assert points.tobytes() == expected.tobytes()
+    assert (k, converged) == (k_expected, False)
+
+
+@pytest.mark.parametrize("n,einsum_calls", [(2, 0), (3, 0), (4, 0), (5, 17), (6, 17)])
+def test_only_operators_above_four_types_step_by_einsum(monkeypatch, n, einsum_calls):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return _c_einsum(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_c_einsum", counting)
+    q = random_symmetric_qso(rng(810 + n), n)
+    traj = iterate(q, ReducedDistribution(random_simplex(rng(820 + n), n)), max_iters=17,
+                   tol=1e-300)
+    assert traj.iterations == 17
+    assert len(calls) == einsum_calls
+
+
+def test_reduced_qso_pickles_after_iterating():
+    for name in ("rh", "abo", "cyclic"):
+        make, y0 = SMALL_CASES[name]
+        q = make()
+        before = iterate(q, ReducedDistribution(y0), max_iters=50)
+        copy = pickle.loads(pickle.dumps(q))
+        assert copy.n == q.n and np.array_equal(copy.p, q.p)
+        after = iterate(copy, ReducedDistribution(y0), max_iters=50)
+        assert before.points.tobytes() == after.points.tobytes()
+
+
+def halving_newton_refine(q, y, budget=dynamics._NEWTON_STEPS):
+    """``_newton_refine`` as it was before it stopped halving at a step that
+    no longer moves the point: all 40 halvings of every step are tried."""
+    n = q.n
+    ones_row = np.ones((1, n))
+    best = y
+    best_res = dynamics._l1(dynamics.reduced_step(q, y), y)
+    for _ in range(budget):
+        g = best - dynamics.reduced_step(q, best)
+        a = np.vstack([np.eye(n) - dynamics.jacobian(q, best), ones_row])
+        rhs = np.concatenate([g, [0.0]])
+        d, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+        improved = False
+        t = 1.0
+        for _ in range(40):
+            cand = best - t * d
+            if cand.min() >= 0.0:
+                cand = cand / cand.sum()
+                res = dynamics._l1(dynamics.reduced_step(q, cand), cand)
+                if res < best_res:
+                    best, best_res = cand, res
+                    improved = True
+                    break
+            t /= 2.0
+        if not improved or best_res < n * dynamics._NEWTON_FLOOR:
+            break
+    return best
+
+
+def newton_starts(q, y0):
+    """Orbit ends at loose to tight tolerances, and random points."""
+    for tol in (1e-2, 1e-5, 1e-8, 1e-12):
+        yield iterate(q, ReducedDistribution(y0), max_iters=20_000, tol=tol).points[-1]
+    for seed in range(3):
+        yield random_simplex(rng(850 + seed), q.n)
+
+
+@pytest.mark.parametrize("name,saves", [
+    ("rh", True), ("abo", True), ("cyclic", True), ("random-5", True),
+    # here each polish step either improves the residual or leaves the
+    # simplex, so no halving reaches a step that no longer moves the point
+    ("trait-0.1", False), ("trait-0.2499", False), ("mendelian-64", False),
+])
+def test_newton_polish_matches_the_halving_loop_with_fewer_steps(monkeypatch, mendelian64,
+                                                                 name, saves):
+    if name == "mendelian-64":
+        q, y0 = mendelian64, np.full(64, 1.0 / 64)
+    else:
+        make, y0 = SMALL_CASES[name]
+        q = make()
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return qso.operators.reduced_step(*args)
+
+    monkeypatch.setattr(dynamics, "reduced_step", counting)
+    new_calls, old_calls = [], []
+    for y in newton_starts(q, y0):
+        del calls[:]
+        polished = dynamics._newton_refine(q, y)
+        new_calls.append(len(calls))
+        del calls[:]
+        expected = halving_newton_refine(q, y)
+        old_calls.append(len(calls))
+        assert polished.tobytes() == expected.tobytes()
+    assert all(new <= old for new, old in zip(new_calls, old_calls))
+    assert (sum(new_calls) < sum(old_calls)) == saves
