@@ -269,6 +269,17 @@ def test_errors_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["run", "fixpoint"])
+def test_negative_max_iters_is_one_error_line(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qso", command, "--model", "rh", "--max-iters", "-2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: max_iters must be >= 0\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qso", "fixpoint", "--model", "trait",

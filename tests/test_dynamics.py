@@ -129,6 +129,16 @@ def test_no_convergence_carries_partial_report():
     assert report.iterations == 2
 
 
+@pytest.mark.parametrize("max_iters", [-1, -2, -3])
+def test_negative_budget_is_rejected(max_iters):
+    q, _ = qso.rh_model()
+    start = ReducedDistribution([0.5, 0.5])
+    with pytest.raises(ValueError, match="max_iters must be >= 0"):
+        iterate(q, start, max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters must be >= 0"):
+        find_fixed_point(q, start, max_iters=max_iters)
+
+
 def test_newton_refinement_polishes_below_iteration_tolerance():
     q, _ = qso.abo_model()
     report = find_fixed_point(q, ReducedDistribution.uniform(4), tol=1e-12)

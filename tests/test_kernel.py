@@ -449,3 +449,141 @@ def test_newton_polish_matches_the_halving_loop_with_fewer_steps(monkeypatch, me
         assert polished.tobytes() == expected.tobytes()
     assert all(new <= old for new, old in zip(new_calls, old_calls))
     assert (sum(new_calls) < sum(old_calls)) == saves
+
+
+# Operators with more than 4 types whose child-major table of nonzero
+# coefficients is small step by ``_sparse_step``, which must equal one
+# c_einsum step byte for byte on every finite row.
+
+def random_sparse_qso(gen, n, density):
+    """Symmetric stochastic tensor where each pair has children with
+    probability ``density``, so the children have unequal nonzero counts and
+    the table pads its shorter columns."""
+    keep = gen.random((n, n, n)) < density
+    keep |= keep.transpose(1, 0, 2)
+    i, j = np.nonzero(~keep.any(axis=2))
+    keep[i, j, (i + j) % n] = True  # a pair with no child gets one
+    w = np.where(keep, gen.random((n, n, n)), 0.0)
+    w += w.transpose(1, 0, 2)
+    return ReducedQso(n, w / w.sum(axis=2, keepdims=True))
+
+
+def starts_with_signed_zeros(gen, n, count):
+    """Random points of the simplex with some coordinates 0.0 or -0.0."""
+    for r in range(count):
+        y = random_simplex(gen, n)
+        y[gen.integers(1, n, r % 4)] = 0.0  # y[0] stays positive
+        y[gen.integers(1, n, r % 3)] = -0.0
+        yield y / y.sum()
+
+
+def counting_c_einsum(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return _c_einsum(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_c_einsum", counting)
+    return calls
+
+
+SPARSE_CASES = [(24, 0.02, 801), (40, 0.05, 802), (64, 0.05, 803), (96, 0.03, 804)]
+
+
+@pytest.mark.parametrize("n,density,seed", SPARSE_CASES + [(5, 0.2, 805), (8, 0.1, 806)])
+def test_sparse_step_matches_one_c_einsum_step(monkeypatch, n, density, seed):
+    gen = rng(seed)
+    q = random_sparse_qso(gen, n, density)
+    counts = np.count_nonzero(q.p, axis=(0, 1))
+    assert counts.min() < counts.max()  # short columns are padded
+    if n < 24:
+        # too small to gain; the step is exact all the same
+        assert dynamics._sparse_step(q.p) is None
+        monkeypatch.setattr(dynamics, "_SPARSE_MAX_FILL", np.inf)
+    step = dynamics._sparse_step(q.p)
+    assert step is not None
+    out = np.empty(n)
+    for y in starts_with_signed_zeros(gen, n, 60):
+        step(y, out)
+        assert out.tobytes() == _c_einsum("ijk,i,j->k", q.p, y, y).tobytes()
+
+
+@pytest.mark.parametrize("n,density,seed", SPARSE_CASES)
+def test_sparse_orbit_matches_per_step_loop(monkeypatch, n, density, seed):
+    gen = rng(seed)
+    q = random_sparse_qso(gen, n, density)
+    calls = counting_c_einsum(monkeypatch)
+    for y0, (max_iters, stride) in zip(starts_with_signed_zeros(gen, n, 3),
+                                       [(40, 1), (300, 7), (1100, 100)]):
+        traj = iterate(q, ReducedDistribution(y0), max_iters=max_iters, tol=1e-300,
+                       stride=stride)
+        points, indices, _, k, residual = per_step_orbit(q, y0, max_iters, 1e-300, stride)
+        assert traj.points.tobytes() == points.tobytes()
+        assert np.array_equal(traj.indices, indices)
+        assert (traj.iterations, traj.final_residual) == (k, residual)
+    assert calls == []  # every step took the sparse path
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sparse_step_leaves_a_non_finite_row_to_einsum(monkeypatch, bad):
+    # a zero coefficient times inf or NaN is NaN, which einsum adds and the
+    # sparse step would skip, so such rows step by einsum
+    q = random_sparse_qso(rng(807), 24, 0.02)
+    y0 = random_simplex(rng(808), 24)
+    y0[5] = bad
+    calls = counting_c_einsum(monkeypatch)
+    with np.errstate(all="ignore"):
+        points, k, _, converged = dynamics._orbit(q, y0, 1.0, 12, 1e-12, 1)
+        expected, _, _, k_expected, _ = per_step_orbit(q, y0, 12, 1e-12, 1)
+    assert not np.isfinite(points[1:]).any()
+    assert points.tobytes() == expected.tobytes()
+    assert (k, converged) == (k_expected, False)
+    assert len(calls) == 12
+
+
+def test_dense_operator_steps_by_einsum(monkeypatch):
+    # the ingest pipeline's estimated n = 36 operator is almost all nonzero
+    q = random_symmetric_qso(rng(809), 36)
+    assert dynamics._sparse_step(q.p) is None
+    calls = counting_c_einsum(monkeypatch)
+    traj = iterate(q, ReducedDistribution(random_simplex(rng(810), 36)), max_iters=17,
+                   tol=1e-300)
+    assert traj.iterations == 17
+    assert len(calls) == 17
+
+
+@pytest.fixture(scope="module")
+def mendelian128():
+    q = mendelian_operator(components=7)
+    assert q.n == 128
+    return q
+
+
+def test_sparse_table_build_stays_small_at_128_types(mendelian128):
+    # the 16 MiB operator has 3^7 nonzero coefficients per child; the table
+    # holds each as a float and a pair index, 4.3 MiB, plus 0.7 MiB of step
+    # buffers, and is built one 1 MiB slice of the operator at a time
+    p = mendelian128.p
+    assert (np.count_nonzero(p, axis=(0, 1)) == 3 ** 7).all()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step = dynamics._sparse_step(p)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert step is not None
+    assert held < 6 * 2**20
+    assert peak < held + 2 * 2**20
+
+
+def test_find_fixed_point_matches_per_step_loop_on_mendelian_128(monkeypatch, mendelian128):
+    y0 = np.full(128, 1.0 / 128)
+    points, _, _, k, _ = per_step_orbit(mendelian128, y0, 10**6, 1e-12, 1)
+    calls = counting_c_einsum(monkeypatch)
+    report = find_fixed_point(mendelian128, ReducedDistribution(y0), refine=False)
+    assert report.iterations == k
+    assert np.array_equal(report.point.values, points[-1])
+    # the orbit takes the sparse path; the only einsum left is the Jacobian's
+    assert calls == ["ijk,j->ki"]
