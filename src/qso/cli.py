@@ -31,13 +31,7 @@ from .ingest import (
     read_measure_family,
     save_measure_family,
 )
-from .operators import (
-    ReducedDistribution,
-    ReducedQso,
-    ValidationReport,
-    nonmendelian_coefficients,
-    reduce,
-)
+from .operators import ReducedDistribution, ReducedQso, ValidationReport
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -92,25 +86,19 @@ def _parse_start(text: str, n: int, seed: int) -> ReducedDistribution:
     return ReducedDistribution(np.asarray(values))
 
 
-def _build_model(args) -> tuple[ReducedQso, object]:
+def _build_model(args) -> ReducedQso:
     if (args.model is None) == (args.coeff_file is None):
         raise ValueError("provide exactly one model source: --model or --coeff-file")
     if args.coeff_file is not None:
-        family = load_measure_family(args.coeff_file)
-        # published-style tables are rounded; renormalize rows before building
-        tensor = nonmendelian_coefficients(family.space, family.renormalized())
-        q = reduce(tensor)
-        labels = tuple(family.space.trait_label(t) for t in range(family.space.m))
-        desc = models.ModelDescriptor("coeff-file", q.n, labels, {}, "embedded-table")
-        return q, desc
+        return models.table_operator(load_measure_family(args.coeff_file))
     alphas = None
     if args.alphas is not None:
         alphas = [float(part) for part in args.alphas.split(",")]
-    return models.from_name(args.model, alpha=args.alpha, alphas=alphas)
+    return models.from_name(args.model, alpha=args.alpha, alphas=alphas)[0]
 
 
 def _cmd_run(args, out) -> int:
-    q, _ = _build_model(args)
+    q = _build_model(args)
     y0 = _parse_start(args.start, q.n, args.seed)
     traj = dynamics.iterate(q, y0, max_iters=args.max_iters, tol=args.tol,
                             stride=args.stride)
@@ -153,7 +141,7 @@ def _fixpoint_payload(q: ReducedQso, report: dynamics.FixedPointReport) -> dict:
 
 
 def _cmd_fixpoint(args, out) -> int:
-    q, _ = _build_model(args)
+    q = _build_model(args)
     y0 = _parse_start(args.start, q.n, args.seed)
     try:
         report = dynamics.find_fixed_point(q, y0, tol=args.tol, max_iters=args.max_iters)

@@ -121,15 +121,14 @@ class GenotypeSpace:
         index = self.label_table[1].get(label)
         if index is not None:
             return index
+        # every label of one known allele per component is in the map, so
+        # this one has the wrong count of alleles or an unknown allele
         parts = label.split("|")
         if len(parts) != len(self.components):
             raise ValueError(f"label {label!r} does not match component count")
-        traits = []
-        for part, comp in zip(parts, self.components):
-            if part not in comp:
-                raise ValueError(f"unknown allele {part!r} for component {comp}")
-            traits.append(comp.index(part))
-        return self.trait_index(tuple(traits))
+        part, comp = next((part, comp) for part, comp in zip(parts, self.components)
+                          if part not in comp)
+        raise ValueError(f"unknown allele {part!r} for component {comp}")
 
     def label(self, index: int) -> str:
         g = self.genotype(index)
@@ -141,14 +140,6 @@ def build_space(components) -> GenotypeSpace:
     return GenotypeSpace(tuple(tuple(c) for c in components))
 
 
-def _check_member(space: GenotypeSpace, g: Genotype) -> None:
-    if len(g.traits) != len(space.components):
-        raise ValueError(f"genotype {g} does not fit space with {len(space.components)} components")
-    for allele, comp in zip(g.traits, space.components):
-        if not 0 <= allele < len(comp):
-            raise ValueError(f"allele index {allele} out of range for component {comp}")
-
-
 def mendelian_offspring_set(space: GenotypeSpace, a: Genotype, b: Genotype) -> frozenset[int]:
     """Genotype indices a child of ``a`` and ``b`` may carry under per-component
     parental inheritance.
@@ -157,8 +148,8 @@ def mendelian_offspring_set(space: GenotypeSpace, a: Genotype, b: Genotype) -> f
     component must equal one parent's allele there; both child genders are
     always included.
     """
-    _check_member(space, a)
-    _check_member(space, b)
+    space.index(a)  # raises unless both parents belong to the space
+    space.index(b)
     if a.gender == b.gender:
         return frozenset()
     per_component = [
@@ -174,8 +165,8 @@ def mendelian_offspring_set(space: GenotypeSpace, a: Genotype, b: Genotype) -> f
 
 def nonmendelian_offspring_set(space: GenotypeSpace, a: Genotype, b: Genotype) -> frozenset[int]:
     """Unrestricted offspring set: every genotype, unless parents share a gender."""
-    _check_member(space, a)
-    _check_member(space, b)
+    space.index(a)  # raises unless both parents belong to the space
+    space.index(b)
     if a.gender == b.gender:
         return frozenset()
     return frozenset(range(space.total))

@@ -99,11 +99,7 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
         offset = offsets.get(row.child_gender)
         t = index.get(row.child_type)
         if i is None or j is None or offset is None or t is None:
-            # raise the error the first bad field gives
-            space.trait_index_of_label(row.mother)
-            space.trait_index_of_label(row.father)
-            GENDERS.index(row.child_gender)
-            space.trait_index_of_label(row.child_type)
+            _check_labels(space, row.mother, row.father, row.child_gender, row.child_type)
         cells.append((i * m + j) * space.total + offset + t)
         values.append(row.count)
     cells = np.array(cells, dtype=np.intp)
@@ -182,19 +178,14 @@ def _value_error(line_no: int, raw_line: str, what: str) -> ParseError:
     return ParseError(f"line {line_no}, column {column}: {what}", line=line_no, column=column)
 
 
-def _reject_labels(space: GenotypeSpace, line_no: int, fields: list[str]) -> None:
-    """Raise the error for the first unknown label or gender of a row."""
-    mother, father, gender, child, _ = fields
-    try:
-        space.trait_index_of_label(mother)
-        space.trait_index_of_label(father)
-        if gender not in GENDERS:
-            raise SchemaError(
-                f"line {line_no}: child_gender must be 'f' or 'm', got {gender!r}"
-            )
-        space.trait_index_of_label(child)
-    except ValueError as exc:
-        raise SchemaError(f"line {line_no}: {exc}") from exc
+def _check_labels(space: GenotypeSpace, mother: str, father: str, gender: str,
+                  child: str) -> None:
+    """Raise ``ValueError`` for the first unknown label or gender of a row."""
+    space.trait_index_of_label(mother)
+    space.trait_index_of_label(father)
+    if gender not in GENDERS:
+        raise ValueError(f"child_gender must be 'f' or 'm', got {gender!r}")
+    space.trait_index_of_label(child)
 
 
 def _parse_table(lines: list[str], expected_header: str, nonnegative: bool = False):
@@ -248,7 +239,10 @@ def _parse_table(lines: list[str], expected_header: str, nonnegative: bool = Fal
         offset = offsets.get(gender)
         t = index.get(child)
         if i is None or j is None or offset is None or t is None:
-            _reject_labels(space, line_no, fields)
+            try:
+                _check_labels(space, mother, father, gender, child)
+            except ValueError as exc:
+                raise SchemaError(f"line {line_no}: {exc}") from exc
         try:
             v = float(value)
         except ValueError as exc:

@@ -8,6 +8,10 @@ four decimals; operator coefficients are always derived from the measures
 after row renormalization, never stored, because the published derived
 forms carry rounding inconsistencies in the fourth decimal.
 
+``table_operator`` is the one construction from a measure table: the Rh and
+ABO models and the CLI's ``--coeff-file`` all build their operator with it.
+A table model's type labels are those its ``# space:`` line declares.
+
 Set ``QSO_DATA_DIR`` to override the embedded-table directory.
 """
 
@@ -34,8 +38,6 @@ from .operators import (
 )
 
 TRAIT_LABELS = ("A", "a")
-RH_LABELS = ("+", "-")
-ABO_LABELS = ("A", "B", "AB", "O")
 
 MODEL_NAMES = ("trait", "multi", "rh", "abo")
 
@@ -119,38 +121,33 @@ def abo_measure_family() -> MeasureFamily:
     return load_measure_family(_table_path("abo.csv"))
 
 
-def _table_model(name: str, family: MeasureFamily, labels) -> tuple[ReducedQso, ModelDescriptor]:
-    tensor = nonmendelian_coefficients(family.space, family.renormalized())
-    q = reduce(tensor)
-    desc = ModelDescriptor(
-        name=name,
-        n=q.n,
-        type_labels=tuple(labels),
-        parameters={},
-        source="embedded-table",
-    )
-    return q, desc
+def table_operator(family: MeasureFamily) -> ReducedQso:
+    """The operator of a measure table.  Published tables are rounded, so
+    each row is renormalized to unit mass first."""
+    return reduce(nonmendelian_coefficients(family.space, family.renormalized()))
+
+
+def _table_model(name: str, family: MeasureFamily) -> tuple[ReducedQso, ModelDescriptor]:
+    q = table_operator(family)
+    return q, ModelDescriptor(name, q.n, family.space.label_table[0], {}, "embedded-table")
 
 
 def rh_model() -> tuple[ReducedQso, ModelDescriptor]:
     """Two-type Rh transmission operator from the embedded table."""
-    return _table_model("rh", rh_measure_family(), RH_LABELS)
+    return _table_model("rh", rh_measure_family())
 
 
 def abo_model() -> tuple[ReducedQso, ModelDescriptor]:
     """Four-type ABO transmission operator from the embedded table."""
-    return _table_model("abo", abo_measure_family(), ABO_LABELS)
+    return _table_model("abo", abo_measure_family())
 
 
 def export_table(name: str, path) -> None:
     """Write an embedded table ("rh" or "abo") to ``path`` in the
     measure-family CSV format."""
-    if name == "rh":
-        save_measure_family(rh_measure_family(), path)
-    elif name == "abo":
-        save_measure_family(abo_measure_family(), path)
-    else:
+    if name not in ("rh", "abo"):
         raise ValueError(f"unknown table {name!r}; choose 'rh' or 'abo'")
+    save_measure_family(load_measure_family(_table_path(f"{name}.csv")), path)
 
 
 def from_name(name: str, alpha: float | None = None,

@@ -269,6 +269,11 @@ def test_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_bad_random_seed_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "run", "--model", "rh", "--start", "random:x")
+    assert (code, out, err) == (1, "", "error: bad seed in start spec 'random:x'\n")
+
+
 @pytest.mark.parametrize("command", ["run", "fixpoint"])
 def test_negative_max_iters_is_one_error_line(command):
     proc = subprocess.run(

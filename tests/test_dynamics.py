@@ -139,6 +139,26 @@ def test_negative_budget_is_rejected(max_iters):
         find_fixed_point(q, start, max_iters=max_iters)
 
 
+@pytest.mark.parametrize("solve, start, kwargs, message", [
+    (iterate, [0.5, 0.5], {"tol": 0.0}, "tol must be positive"),
+    (iterate, [0.5, 0.5], {"tol": -1e-9}, "tol must be positive"),
+    (iterate, [0.5, 0.5], {"stride": 0}, "stride must be >= 1"),
+    (iterate, [0.2, 0.3, 0.5], {}, "start has 3 types, operator expects 2"),
+    (find_fixed_point, [0.5, 0.5], {"tol": 0.0}, "tol must be positive"),
+    (find_fixed_point, [0.2, 0.3, 0.5], {}, "start has 3 types, operator expects 2"),
+])
+def test_solver_arguments_are_checked(solve, start, kwargs, message):
+    q, _ = qso.rh_model()
+    with pytest.raises(ValueError, match=message):
+        solve(q, ReducedDistribution(start), **kwargs)
+
+
+def test_trajectory_final_is_the_last_recorded_point():
+    traj = iterate(qso.mendelian_trait(0.1), ReducedDistribution([0.5, 0.5]), stride=17)
+    assert isinstance(traj.final, ReducedDistribution)
+    assert np.array_equal(traj.final.values, traj.points[-1])
+
+
 def test_newton_refinement_polishes_below_iteration_tolerance():
     q, _ = qso.abo_model()
     report = find_fixed_point(q, ReducedDistribution.uniform(4), tol=1e-12)
@@ -269,6 +289,19 @@ def test_analyze_quadratic_symmetric_cases():
     res = analyze_quadratic_1d(0.9, 0.5, 0.1)
     assert len(res.fixed_points) == 1
     assert res.fixed_points[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_analyze_quadratic_degenerate_and_outside_regimes():
+    # delta = 0: a double root at the vertex y = 1
+    res = analyze_quadratic_1d(1.0, 0.5, 0.3)
+    assert res.delta == 0.0
+    assert res.regime == "degenerate"
+    assert res.fixed_points == (1.0,)
+    # delta = 5: one root, (3 - sqrt 5) / 2, lies in [0, 1]
+    res = analyze_quadratic_1d(0.0, 0.0, 1.0)
+    assert res.delta == 5.0
+    assert res.regime == "outside (0,4)"
+    assert res.fixed_points == pytest.approx(((3.0 - 5.0 ** 0.5) / 2.0,), abs=1e-15)
 
 
 def test_analyze_quadratic_rejects_bad_coefficients():

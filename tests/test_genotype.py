@@ -178,3 +178,17 @@ def test_offspring_set_properties(case):
                 ci in (ai, bi)
                 for ci, ai, bi in zip(child.traits, a.traits, b.traits)
             )
+
+
+@pytest.mark.parametrize("offspring_set", [mendelian_offspring_set, nonmendelian_offspring_set])
+@pytest.mark.parametrize("outside, message", [
+    (Genotype("f", (0, 1)), "expected 1 trait entries, got 2"),
+    (Genotype("f", (2,)), r"allele index 2 out of range for \('A', 'a'\)"),
+], ids=["length", "range"])
+def test_offspring_sets_reject_a_parent_outside_the_space(offspring_set, outside, message):
+    space = build_space([["A", "a"]])
+    inside = Genotype("m", (0,))
+    with pytest.raises(ValueError, match=message):
+        offspring_set(space, outside, inside)
+    with pytest.raises(ValueError, match=message):
+        offspring_set(space, inside, outside)

@@ -254,6 +254,20 @@ def test_save_counts_refuses_every_table_load_counts_rejects(tmp_path, fault):
         assert str(saved.value) == f"counts table would not load: {loaded.value}"
 
 
+@pytest.mark.parametrize("fault", ["unknown mother", "unknown father", "unknown child type",
+                                   "unknown child gender"])
+def test_estimate_names_a_bad_label_as_the_reader_does(tmp_path, fault):
+    counts = CountsTable(RH, tuple(COUNTS_FAULTS[fault](list(rh_counts(full_counts()).rows))))
+    path = tmp_path / "counts.csv"
+    write_counts_unchecked(counts, path)
+    with pytest.raises(SchemaError) as loaded:
+        load_counts(path)
+    with pytest.raises(ValueError) as estimated:
+        estimate_measures(RH, counts)
+    assert type(estimated.value) is ValueError
+    assert str(loaded.value) == f"line 8: {estimated.value}"  # row 5
+
+
 @pytest.mark.parametrize("mother", ["#+", " +"])
 def test_save_counts_refuses_a_table_that_reads_back_differently(tmp_path, mother):
     # the reader skips a line that starts with '#' and strips every field

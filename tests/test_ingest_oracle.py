@@ -492,7 +492,7 @@ def test_single_fault_reports_like_oracle(tmp_path, kind, name, base, line_no, r
     (CountRow("+", "+", "f", "+", -1.0), "negative count -1.0"),
     (CountRow("?", "+", "f", "+", 1.0), "unknown allele '?'"),
     (CountRow("+", "+|-", "f", "+", 1.0), "does not match component count"),
-    (CountRow("+", "+", "x", "+", 1.0), "not in tuple"),
+    (CountRow("+", "+", "x", "+", 1.0), "child_gender must be"),
     (CountRow("+", "+", "f", "?", 1.0), "unknown allele '?'"),
     (CountRow("?", "+", "x", "+", -1.0), "negative count"),
 ])
@@ -504,8 +504,14 @@ def test_estimate_rejects_rows_like_oracle(row, message):
         oracle_estimate_measures(space, table)
     with pytest.raises(ValueError) as got:
         estimate_measures(space, table)
-    assert message in str(want.value)
-    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert message in str(got.value)
+    assert type(got.value) is type(want.value)
+    if "not in tuple" in str(want.value):
+        # the oracle reports a bad gender in tuple.index's words; the
+        # estimator names the field, as the reader does
+        assert str(got.value) == "child_gender must be 'f' or 'm', got 'x'"
+    else:
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("drop", [(0, 0), (0, 1), (1, 0), (1, 1)])

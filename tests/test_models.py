@@ -15,7 +15,7 @@ from qso import (
 )
 from qso.dynamics import find_fixed_point, f_alpha, regularity_check
 from qso.errors import AlphaOutOfRange, BadSum, NonPositiveAlpha
-from qso.models import from_name, _table_path
+from qso.models import from_name, table_operator, _table_path
 from qso.operators import nonmendelian_coefficients, reduce as reduce_tensor
 
 from helpers import random_simplex, rng
@@ -218,8 +218,28 @@ def test_export_table_roundtrip(tmp_path):
     exported = qso.load_measure_family(out)
     embedded = qso.rh_measure_family()
     assert np.array_equal(exported.mu, embedded.mu)
+    qso.export_table("abo", out)
+    assert np.array_equal(qso.load_measure_family(out).mu, qso.abo_measure_family().mu)
     with pytest.raises(ValueError):
         qso.export_table("nope", out)
+
+
+@pytest.mark.parametrize("name", ["rh", "abo"])
+def test_table_operator_renormalizes_then_reduces(name):
+    family = qso.load_measure_family(_table_path(f"{name}.csv"))
+    expected = reduce_tensor(nonmendelian_coefficients(family.space, family.renormalized()))
+    assert np.array_equal(table_operator(family).p, expected.p)
+    assert np.array_equal(from_name(name)[0].p, expected.p)
+
+
+def test_table_model_labels_come_from_the_space_line(tmp_path, monkeypatch):
+    text = _table_path("rh.csv").read_text()
+    (tmp_path / "rh.csv").write_text(text.replace("+", "D").replace("-", "d"))
+    monkeypatch.setenv("QSO_DATA_DIR", str(tmp_path))
+    q, desc = qso.rh_model()
+    assert desc.type_labels == ("D", "d")
+    monkeypatch.delenv("QSO_DATA_DIR")
+    assert np.array_equal(q.p, qso.rh_model()[0].p)
 
 
 def test_data_dir_override(tmp_path, monkeypatch):

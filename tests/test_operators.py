@@ -504,6 +504,86 @@ def test_reduce_is_bitwise_the_symmetrized_female_block(tensor):
     assert np.array_equal(reduce_tensor(t).p, 0.5 * (fem + fem.transpose(1, 0, 2)))
 
 
+# --- rejected arguments --------------------------------------------------------
+
+def rh_tensor():
+    return nonmendelian_coefficients(RH, qso.rh_measure_family())
+
+
+def rh_family(scale=1.0, zero_pair=None):
+    mu = qso.rh_measure_family().mu * scale
+    if zero_pair is not None:
+        mu[zero_pair] = 0.0
+    return MeasureFamily(RH, mu)
+
+
+# case -> (call, exception, message)
+REJECTED = {
+    "distribution sex ratio": (
+        lambda: Distribution(TRAIT, [0.25] * 4, (1.0, 0.0)),
+        DistributionOutsideHyperSimplex, r"invalid sex ratio p=1.0, q=0.0"),
+    "distribution female mass": (
+        lambda: Distribution(TRAIT, [0.3, 0.3, 0.2, 0.2]),
+        DistributionOutsideHyperSimplex, r"female mass 0.6 != 0.5 \(male mass 0.4\)"),
+    "renormalized zero row": (
+        lambda: rh_family(zero_pair=(1, 0)).renormalized(),
+        ZeroMassOffspringSet, "cannot renormalize a zero-mass measure row"),
+    "tensor p:q": (
+        lambda: HeredityTensor(RH, (0.6, 0.6), rh_tensor().coefficients),
+        ValueError, r"invalid p:q ratio \(0.6, 0.6\)"),
+    "coefficient of a (male, female) pair": (
+        lambda: rh_tensor().coefficient(mA, fA, fA),
+        ValueError, r"canonical storage indexes \(female, male\) pairs"),
+    "mendelian space": (
+        lambda: mendelian_coefficients(RH, trait_mu0(0.2)),
+        DimensionMismatch, "base measure was built for a different space"),
+    "mendelian p:q": (
+        lambda: mendelian_coefficients(TRAIT, Distribution(TRAIT, [0.2] * 2 + [0.3] * 2,
+                                                           (0.4, 0.6))),
+        AsymmetricMeasure, r"base measure must live on the 1:1 hyper-simplex, "
+                           r"got p:q = \(0.4, 0.6\)"),
+    "nonmendelian space": (
+        lambda: nonmendelian_coefficients(TRAIT, qso.rh_measure_family()),
+        DimensionMismatch, "measure family was built for a different space"),
+    "nonmendelian unit mass": (
+        lambda: nonmendelian_coefficients(RH, rh_family(scale=1.01)),
+        ValueError, "measure rows deviate from unit mass by .*; renormalize first"),
+    "apply_canonical space": (
+        lambda: apply_canonical(rh_tensor(), Distribution(TRAIT, [0.25] * 4)),
+        DimensionMismatch, "distribution and tensor spaces differ"),
+    "lift size": (
+        lambda: lift(TRAIT, ReducedDistribution([0.2, 0.3, 0.5])),
+        DimensionMismatch, "reduced point has 3 types, space has 2"),
+    "fold space": (
+        lambda: fold(TRAIT, Distribution(RH, [0.25] * 4)),
+        DimensionMismatch, "distribution belongs to a different space"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_arguments(case):
+    call, error, message = REJECTED[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_full_coefficient_takes_a_mixed_pair_in_either_order():
+    t = rh_tensor()
+    for child in (fA, fa, mA, ma):
+        stored = t.coefficient(fa, mA, child)
+        assert t.full_coefficient(fa, mA, child) == stored
+        assert t.full_coefficient(mA, fa, child) == stored
+        assert t.full_coefficient(fa, fA, child) == 0.0
+
+
+def test_violation_prints_its_message():
+    family = MeasureFamily.from_dict(RH, {(0, 0): [0.25] * 4, (0, 1): [0.25] * 4,
+                                          (1, 1): [0.25] * 4})
+    (violation,) = family.validate()
+    assert violation.kind == "missing"
+    assert str(violation) == violation.message == "pair (- x +) has no measure"
+
+
 # --- lift / fold ----------------------------------------------------------------
 
 def test_lift_fold_examples():
