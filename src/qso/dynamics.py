@@ -6,26 +6,20 @@ simplex would otherwise double every generation and overflow within ~60
 steps.  The correction is a relative 1e-16 per step and keeps million-step
 orbits on the simplex.
 
-``iterate`` and ``find_fixed_point`` share one blocked kernel.  It writes a
-block of steps in place into a preallocated buffer, measures the block's
-l1 step sizes in one array call, and stops at the first one below the
-tolerance, discarding the steps computed after it.  The next block is
-sized from the observed contraction rate and grows at most twofold (it
-doubles while the steps do not shrink), so short solves waste few steps
-and long orbits pay NumPy call overhead once per step rather than several
-times.  Each value comes from the same floating-point operations in the
-same order as a plain per-step loop (einsum step, division by the
-pairwise sum, l1 of the difference), so points, step counts and residuals
-are bitwise equal to it.
-
-The step calls NumPy's C einsum routine directly.  ``np.einsum`` with its
-default ``optimize=False`` passes its arguments to that same routine
-unchanged, so the results are bitwise equal by construction; only the
-Python dispatch layer is skipped (about 1 us of the 2.3 us call at n = 3).
-The division runs in place on the row.  The kept rows of each block are
-copied into one output array, grown in place (``realloc``) up to its bound
-of ``max_iters // stride + 2`` rows and trimmed at the end, so a recorded
-orbit is held once rather than as blocks plus their concatenation.
+``iterate`` and ``find_fixed_point`` consume the blocks of one kernel,
+``_orbit``.  It writes a block of steps in place into a preallocated
+buffer, measures the block's l1 step sizes in one array call, and stops at
+the first one below the tolerance, discarding the steps computed after it.
+The next block is sized from the observed contraction rate and grows at
+most twofold (it doubles while the steps do not shrink), so short solves
+waste few steps and long orbits pay NumPy call overhead once per step
+rather than several times.  Each value comes from the same floating-point
+operations in the same order as a plain per-step loop (einsum step,
+division in place by the pairwise sum, l1 of the difference), so points,
+step counts and residuals are bitwise equal to it.  ``iterate`` copies the
+rows it records into one array, grown in place (``realloc``) up to its
+bound of ``max_iters // stride + 2`` rows and trimmed at the end, so a
+recorded orbit is held once; ``find_fixed_point`` keeps only the last row.
 
 Operators with at most ``_SCALAR_MAX_N`` = 4 types, which include every
 model of the paper (the trait operator and Rh have n = 2, ABO n = 4), step
@@ -88,7 +82,7 @@ import numpy as np
 
 from .errors import AlphaOutOfRange, InvalidCoefficients, NoConvergence
 from .operators import (_DEGENERATE_TOL, _NEWTON_FLOOR, CLASSIFY_MARGIN, ROUNDING_TOL,
-                        ReducedDistribution, ReducedQso, _blocks, _c_einsum, reduced_step)
+                        ReducedDistribution, ReducedQso, _blocks, reduced_step)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 1_000_000
@@ -99,6 +93,7 @@ _SCALAR_MAX_N = 4     # largest n stepped in Python floats rather than by einsum
 _CHUNK_BYTES = 1 << 18   # coefficient bytes per chunk of the sparse step's table
 _SPARSE_MAX_FILL = 0.25  # largest share of n^3 the sparse step's table may fill
 _CHUNK_CELLS = 2048      # table cells that cost as much as one chunk's NumPy calls
+_einsum = np.einsum      # the einsum step and the Jacobian call it by this one name
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +206,7 @@ def _scalar_block(step, buf: np.ndarray, b: int) -> bool:
 
 
 def _sparse_step(p: np.ndarray):
-    """``c_einsum("ijk,i,j->k", p, y, y, out=out)`` from the nonzero
+    """``np.einsum("ijk,i,j->k", p, y, y, out=out)`` from the nonzero
     coefficients of ``p`` alone, as ``step(y, out)``, bitwise equal to it for
     finite ``y`` (see the module docstring).  None when its table, counting
     each chunk's NumPy calls as ``_CHUNK_CELLS`` more cells, would fill more
@@ -267,15 +262,13 @@ def _sparse_step(p: np.ndarray):
     return step
 
 
-def _orbit(q: ReducedQso, y0: np.ndarray, residual: float, max_iters: int,
-           tol: float, stride: int) -> tuple[np.ndarray, int, float, bool]:
+def _orbit(q: ReducedQso, y0: np.ndarray, max_iters: int, tol: float):
     """Renormalized quadratic steps from ``y0`` until the l1 step size drops
     below ``tol`` or ``max_iters`` steps are done.
 
-    Returns ``(points, k, residual, converged)``: the start, every iterate
-    whose step number is a multiple of ``stride`` and the last iterate
-    (step ``k``), then the last step size (the given ``residual`` when no
-    step is taken).
+    Yields ``(rows, steps)`` per block: the block's iterates, a view of a
+    buffer that the next block overwrites, and the l1 sizes of the steps that
+    reached them.  The last block ends at the first step below ``tol``.
     """
     p = q.p
     total = np.add.reduce
@@ -283,14 +276,9 @@ def _orbit(q: ReducedQso, y0: np.ndarray, residual: float, max_iters: int,
     sparse = _sparse_step(p) if step is None and max_iters > 0 else None
     buf = np.empty((_BLOCK_MAX + 1, q.n))
     buf[0] = y0
-    bound = max_iters // stride + 2  # the start, every stride-th step, the last
-    out = np.empty((min(bound, _BLOCK_MAX + 2), q.n))
-    out[0] = y0
-    r = 1
     k = 0
-    converged = False
     size = _BLOCK_MIN
-    while k < max_iters and not converged:
+    while k < max_iters:
         b = min(size, max_iters - k)
         if step is None or not _scalar_block(step, buf, b):
             rows = list(buf[:b + 1])
@@ -299,39 +287,22 @@ def _orbit(q: ReducedQso, y0: np.ndarray, residual: float, max_iters: int,
                 if sparse is not None and math.isfinite(total(prev)):
                     sparse(prev, row)
                 else:
-                    _c_einsum("ijk,i,j->k", p, prev, prev, out=row)
+                    _einsum("ijk,i,j->k", p, prev, prev, out=row)
                 row /= total(row)
         steps = np.abs(buf[1:b + 1] - buf[:b]).sum(axis=1)
         hit = np.flatnonzero(steps < tol)
         if hit.size:
             b = int(hit[0]) + 1
-            converged = True
-        kept = buf[stride - k % stride:b + 1:stride]
-        need = r + len(kept) + 1  # room for the last iterate too
-        if need > len(out):
-            # a realloc, which moves no bytes where the block can grow in place;
-            # refcheck=False is safe: no view of ``out`` outlives a statement,
-            # it is only written through slice assignment
-            out.resize((min(bound, max(need, 2 * len(out))), q.n), refcheck=False)
-        out[r:r + len(kept)] = kept
-        r += len(kept)
-        residual = float(steps[b - 1])
+            yield buf[1:b + 1], steps[:b]
+            return
+        yield buf[1:b + 1], steps
         size = _next_block(size, steps[-2:], tol)
         k += b
         buf[0] = buf[b]
-    if k % stride:
-        out[r] = buf[0]
-        r += 1
-    out.resize((r, q.n), refcheck=False)
-    return out, k, residual, converged
 
 
-def iterate(q: ReducedQso, y0: ReducedDistribution, max_iters: int = DEFAULT_MAX_ITERS,
-            tol: float = DEFAULT_TOL, stride: int = 1) -> Trajectory:
-    """Iterate until the l1 distance between consecutive points drops below
-    ``tol`` or the budget runs out.  Non-convergence is a reported state,
-    not an error.  ``stride`` subsamples the recorded orbit.
-    """
+def _check_solver_args(q: ReducedQso, y0: ReducedDistribution, tol: float, max_iters: int,
+                       stride: int = 1) -> None:
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iters < 0:
@@ -340,20 +311,52 @@ def iterate(q: ReducedQso, y0: ReducedDistribution, max_iters: int = DEFAULT_MAX
         raise ValueError("stride must be >= 1")
     if y0.n != q.n:
         raise ValueError(f"start has {y0.n} types, operator expects {q.n}")
+
+
+def iterate(q: ReducedQso, y0: ReducedDistribution, max_iters: int = DEFAULT_MAX_ITERS,
+            tol: float = DEFAULT_TOL, stride: int = 1) -> Trajectory:
+    """Iterate until the l1 distance between consecutive points drops below
+    ``tol`` or the budget runs out.  Non-convergence is a reported state,
+    not an error.  ``stride`` subsamples the recorded orbit.
+    """
+    _check_solver_args(q, y0, tol, max_iters, stride)
     y = y0.values
-    pts, k, residual, converged = _orbit(q, y, _l1(reduced_step(q, y), y),
-                                         max_iters, tol, stride)
+    bound = max_iters // stride + 2  # the start, every stride-th step, the last
+    out = np.empty((min(bound, _BLOCK_MAX + 2), q.n))
+    out[0] = y
+    r = 1
+    k = 0
+    for rows, steps in _orbit(q, y, max_iters, tol):
+        kept = rows[stride - 1 - k % stride::stride]
+        need = r + len(kept) + 1  # room for the last iterate too
+        if need > len(out):
+            # a realloc, which moves no bytes where the block can grow in place;
+            # refcheck=False is safe: no view of ``out`` outlives a statement,
+            # it is only written through slice assignment
+            out.resize((min(bound, max(need, 2 * len(out))), q.n), refcheck=False)
+        out[r:r + len(kept)] = kept
+        r += len(kept)
+        k += len(rows)
+    if k:
+        residual = float(steps[-1])
+        if k % stride:
+            out[r] = rows[-1]  # the last block is never overwritten
+            r += 1
+        del rows, steps, kept  # the last block: free it before the indices are built
+    else:
+        residual = _l1(reduced_step(q, y), y)
+    out.resize((r, q.n), refcheck=False)
     idx = np.arange(0, k + 1, stride)
     if k % stride:
         idx = np.append(idx, k)
-    pts.setflags(write=False)
+    out.setflags(write=False)
     idx.setflags(write=False)
-    return Trajectory(pts, idx, converged, k, residual)
+    return Trajectory(out, idx, k > 0 and residual < tol, k, residual)
 
 
 def jacobian(q: ReducedQso, y: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the quadratic step: ``J[k, i] = 2 sum_j p[i,j,k] y_j``."""
-    return 2.0 * _c_einsum("ijk,j->ki", q.p, np.asarray(y, dtype=float))
+    return 2.0 * _einsum("ijk,j->ki", q.p, np.asarray(y, dtype=float))
 
 
 def tangent_spectral_radius(q: ReducedQso, y: np.ndarray) -> float:
@@ -378,8 +381,10 @@ def _classify(rho: float) -> str:
     return "neutral"
 
 
-def _newton_refine(q: ReducedQso, y: np.ndarray, budget: int = _NEWTON_STEPS) -> np.ndarray:
+def _newton_refine(q: ReducedQso, y: np.ndarray,
+                   budget: int = _NEWTON_STEPS) -> tuple[np.ndarray, float]:
     """Damped Newton polish of the residual map y - V(y) within the simplex.
+    Returns the polished point and its residual ``_l1(reduced_step(q, y), y)``.
 
     The linear solve is constrained to the tangent space; steps that would
     leave the simplex are halved, and a step that cannot improve the
@@ -414,7 +419,7 @@ def _newton_refine(q: ReducedQso, y: np.ndarray, budget: int = _NEWTON_STEPS) ->
             t /= 2.0
         if not improved or best_res < n * _NEWTON_FLOOR:
             break
-    return best
+    return best, best_res
 
 
 def find_fixed_point(q: ReducedQso, y0: ReducedDistribution, tol: float = DEFAULT_TOL,
@@ -423,23 +428,17 @@ def find_fixed_point(q: ReducedQso, y0: ReducedDistribution, tol: float = DEFAUL
     its stability.  Raises :class:`NoConvergence` (carrying the partial
     report) if the residual stays above ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 0:
-        raise ValueError("max_iters must be >= 0")
-    if y0.n != q.n:
-        raise ValueError(f"start has {y0.n} types, operator expects {q.n}")
+    _check_solver_args(q, y0, tol, max_iters)
     y = y0.values
     iterations = 0
-    residual = _l1(reduced_step(q, y), y)
-    if residual >= tol:
-        # a stride of the whole budget records only the start and the end
-        points, iterations, _, _ = _orbit(q, y, residual, max_iters, tol,
-                                          stride=max(max_iters, 1))
-        y = points[-1]
+    if _l1(reduced_step(q, y), y) >= tol:
+        for rows, _ in _orbit(q, y, max_iters, tol):
+            iterations += len(rows)
+            y = rows[-1]
     if refine:
-        y = _newton_refine(q, y)
-    residual = _l1(reduced_step(q, y), y)
+        y, residual = _newton_refine(q, y)
+    else:
+        residual = _l1(reduced_step(q, y), y)
     rho = tangent_spectral_radius(q, y)
     report = FixedPointReport(
         point=ReducedDistribution(y),

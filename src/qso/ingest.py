@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricMeasure,
+    DimensionMismatch,
     InvariantViolation,
     MissingParentPair,
     ParseError,
@@ -87,6 +88,8 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
     gender-asymmetric counts raise ``AsymmetricMeasure`` instead of being
     silently averaged.
     """
+    if counts.space is not space and counts.space != space:
+        raise DimensionMismatch("counts table was built for a different space")
     m = space.m
     _, index = space.label_table
     offsets = {gender: g * m for g, gender in enumerate(GENDERS)}

@@ -36,11 +36,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-try:  # the C routine that np.einsum(..., optimize=False) forwards its arguments to
-    from numpy._core.multiarray import c_einsum as _c_einsum
-except ImportError:  # NumPy 1.x
-    from numpy.core.multiarray import c_einsum as _c_einsum
-
 from .errors import (
     AsymmetricMeasure,
     ChildAsymmetry,
@@ -538,7 +533,7 @@ def apply_reduced(q: ReducedQso, y: ReducedDistribution) -> ReducedDistribution:
 
 def reduced_step(q: ReducedQso, y: np.ndarray) -> np.ndarray:
     """Raw quadratic-form step on a plain vector (no simplex validation)."""
-    return _c_einsum("ijk,i,j->k", q.p, y, y)
+    return np.einsum("ijk,i,j->k", q.p, y, y)
 
 
 def lift(space: GenotypeSpace, y: ReducedDistribution) -> Distribution:

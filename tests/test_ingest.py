@@ -26,6 +26,7 @@ from qso import (
 from qso.cli import main
 from qso.errors import (
     AsymmetricMeasure,
+    DimensionMismatch,
     InvariantViolation,
     MissingParentPair,
     ParseError,
@@ -97,6 +98,20 @@ def test_estimate_missing_pair():
     del table[("-", "+")]
     with pytest.raises(MissingParentPair):
         estimate_measures(RH, rh_counts(table))
+
+
+def test_estimate_rejects_counts_of_another_space():
+    # the labels of RH are all in this space, so only the space check names the fault
+    with pytest.raises(DimensionMismatch, match="different space"):
+        estimate_measures(build_space([["+", "-", "x"]]), rh_counts(full_counts()))
+
+
+def test_estimate_accepts_an_equal_space():
+    equal = build_space([["+", "-"]])
+    assert equal is not RH
+    family = estimate_measures(equal, rh_counts(full_counts()))
+    assert family.space == RH
+    assert family.mu.tobytes() == estimate_measures(RH, rh_counts(full_counts())).mu.tobytes()
 
 
 def test_estimate_zero_total():
