@@ -24,20 +24,23 @@ recorded orbit is held once; ``find_fixed_point`` keeps only the last row.
 Operators with at most ``_SCALAR_MAX_N`` = 4 types, which include every
 model of the paper (the trait operator and Rh have n = 2, ABO n = 4), step
 in plain Python floats instead: at that size a NumPy step is almost all
-call overhead.  The step is generated once per coefficient array and
-repeats the einsum step's operations in their order, so it is exact too.
-Einsum starts each child's sum at 0.0 and adds ``(p[i,j,k] * y_i) * y_j``
-over ``(i, j)`` in C order; a zero coefficient adds a signed zero to a sum
-that is never -0.0, so its term is skipped.  ``np.add.reduce`` sums fewer
-than 8 elements as a left fold, ``(o0 + o1) + o2``.  Each child is then
-divided by that total, the same IEEE division.  A block whose total is
-exactly zero, where Python raises and NumPy gives inf or NaN, is left to
-the einsum step.  Per step, with dense random coefficients (microseconds,
-Python 3.11, NumPy 2.4, one x86-64 core):
+call overhead.  A function generated once per coefficient array steps a
+whole block with the coordinates in local variables, then writes one flat
+list of rows into the buffer.  It repeats the einsum step's operations in
+their order, so it is exact too.  Einsum starts each child's sum at 0.0
+and adds ``(p[i,j,k] * y_i) * y_j`` over ``(i, j)`` in C order; a zero
+coefficient adds a signed zero to a sum that is never -0.0, so its term
+is skipped.  ``np.add.reduce`` sums fewer than 8 elements as a left fold,
+``(o0 + o1) + o2``.  Each child is then divided by that total, the same
+IEEE division.  A block with a zero total, where Python raises and NumPy
+gives inf or NaN, writes nothing and is left to the einsum step.  Per step
+in 1024-step blocks, dense random coefficients (microseconds, best of 45,
+Python 3.11, NumPy 2.4, one x86-64 core); at n = 5 the two differ by less
+than the spread between rounds, so the cutoff stays at 4:
 
     n        2     3     4     5     8
-    scalar   0.44  1.17  2.49  4.67  19.5
-    einsum   3.34  3.52  4.46  4.64  6.29
+    scalar   0.41  1.00  2.11  3.97  15.4
+    einsum   4.05  4.25  4.30  4.40  5.48
 
 Larger operators whose coefficients are mostly zero step from a table of
 their nonzero coefficients instead (``_sparse_step``).  Mendelian ones are:
@@ -162,15 +165,23 @@ def _next_block(size: int, tail: np.ndarray, tol: float) -> int:
 
 
 @lru_cache(maxsize=64)
-def _scalar_step(n: int, coefficients: bytes):
-    """The renormalized quadratic step of the operator with these coefficient
-    bytes, from a sequence of ``n`` Python floats to a tuple, with einsum's
-    operations in einsum's order (see the module docstring).  The nonzero
-    coefficients are bound as closure variables, never written into the
-    source.  Cached: compiling takes about 0.2 ms at n = 2 and 1 ms at n = 4."""
+def _scalar_block(n: int, coefficients: bytes):
+    """``block(buf, b)`` for the operator with these coefficient bytes: it
+    writes ``b`` renormalized quadratic steps from ``buf[0]`` into
+    ``buf[1:b + 1]`` in Python floats, with einsum's operations in einsum's
+    order (see the module docstring), and returns True.  If a step's total
+    is zero it returns False and writes nothing: Python raises there, where
+    NumPy's division gives the inf or NaN row the einsum step keeps.  The
+    nonzero coefficients are closure variables, never written into the
+    source.  Cached: compiling takes about 0.2 ms at n = 2, 0.7 ms at n = 4."""
     p = np.frombuffer(coefficients).reshape(n, n, n)
     used = []  # (i, j, k) of the coefficient named c{position}
-    lines = [f"        {', '.join(f'y{i}' for i in range(n))}, = y"]
+    coords = ", ".join(f"y{i}" for i in range(n))
+    lines = [f"        {coords}, = buf[0].tolist()",
+             "        rows = []",
+             "        extend = rows.extend",
+             "        try:",
+             "            for _ in range(b):"]
     for k in range(n):
         terms = ["0.0"]
         for i in range(n):
@@ -178,31 +189,19 @@ def _scalar_step(n: int, coefficients: bytes):
                 if p[i, j, k] != 0.0:
                     terms.append(f"c{len(used)} * y{i} * y{j}")
                     used.append((i, j, k))
-        lines.append(f"        o{k} = {' + '.join(terms)}")
-    children = [f"o{k}" for k in range(n)]
-    lines.append(f"        s = {' + '.join(children)}")
-    lines.append(f"        return {', '.join(f'{o} / s' for o in children)},")
+        lines.append(f"                o{k} = {' + '.join(terms)}")
+    lines += [f"                s = {' + '.join(f'o{k}' for k in range(n))}",
+              *(f"                y{k} = o{k} / s" for k in range(n)),
+              f"                extend(({coords},))",
+              "        except ZeroDivisionError:",
+              "            return False",
+              f"        buf.reshape(-1)[{n}:(b + 1) * {n}] = rows",
+              "        return True"]
     source = "\n".join([f"def make({', '.join(f'c{c}' for c in range(len(used)))}):",
-                        "    def step(y):", *lines, "    return step"])
+                        "    def block(buf, b):", *lines, "    return block"])
     namespace = {}
-    exec(compile(source, f"<qso scalar step, n = {n}>", "exec"), namespace)
+    exec(compile(source, f"<qso scalar block, n = {n}>", "exec"), namespace)
     return namespace["make"](*(float(p[key]) for key in used))
-
-
-def _scalar_block(step, buf: np.ndarray, b: int) -> bool:
-    """Write ``b`` scalar steps from ``buf[0]`` into ``buf[1:b + 1]``.  Returns
-    False, writing nothing, if a step's total is zero: Python raises there,
-    where NumPy's division gives the inf or NaN row the einsum step keeps."""
-    y = buf[0].tolist()
-    rows = []
-    try:
-        for _ in range(b):
-            y = step(y)
-            rows.append(y)
-    except ZeroDivisionError:
-        return False
-    buf[1:b + 1] = rows
-    return True
 
 
 def _sparse_step(p: np.ndarray):
@@ -272,15 +271,15 @@ def _orbit(q: ReducedQso, y0: np.ndarray, max_iters: int, tol: float):
     """
     p = q.p
     total = np.add.reduce
-    step = _scalar_step(q.n, p.tobytes()) if q.n <= _SCALAR_MAX_N else None
-    sparse = _sparse_step(p) if step is None and max_iters > 0 else None
+    block = _scalar_block(q.n, p.tobytes()) if q.n <= _SCALAR_MAX_N else None
+    sparse = _sparse_step(p) if block is None and max_iters > 0 else None
     buf = np.empty((_BLOCK_MAX + 1, q.n))
     buf[0] = y0
     k = 0
     size = _BLOCK_MIN
     while k < max_iters:
         b = min(size, max_iters - k)
-        if step is None or not _scalar_block(step, buf, b):
+        if block is None or not block(buf, b):
             rows = list(buf[:b + 1])
             for prev, row in zip(rows, rows[1:]):
                 # a finite sum means every entry of prev is finite
@@ -382,9 +381,10 @@ def _classify(rho: float) -> str:
 
 
 def _newton_refine(q: ReducedQso, y: np.ndarray,
-                   budget: int = _NEWTON_STEPS) -> tuple[np.ndarray, float]:
-    """Damped Newton polish of the residual map y - V(y) within the simplex.
-    Returns the polished point and its residual ``_l1(reduced_step(q, y), y)``.
+                   residual: float) -> tuple[np.ndarray, float]:
+    """Damped Newton polish of the residual map y - V(y) within the simplex,
+    from ``y`` and its residual ``_l1(reduced_step(q, y), y)``.  Returns the
+    polished point and its residual.
 
     The linear solve is constrained to the tangent space; steps that would
     leave the simplex are halved, and a step that cannot improve the
@@ -395,9 +395,8 @@ def _newton_refine(q: ReducedQso, y: np.ndarray,
     eye = np.eye(n)
     a = np.ones((n + 1, n))  # [I - J; ones], rows 0..n-1 rewritten per step
     rhs = np.zeros(n + 1)    # [y - V(y); 0]
-    best = y
-    best_res = _l1(reduced_step(q, y), y)
-    for _ in range(budget):
+    best, best_res = y, residual
+    for _ in range(_NEWTON_STEPS):
         np.subtract(best, reduced_step(q, best), out=rhs[:n])
         np.subtract(eye, jacobian(q, best), out=a[:n])
         d, *_ = np.linalg.lstsq(a, rhs, rcond=None)
@@ -431,14 +430,14 @@ def find_fixed_point(q: ReducedQso, y0: ReducedDistribution, tol: float = DEFAUL
     _check_solver_args(q, y0, tol, max_iters)
     y = y0.values
     iterations = 0
-    if _l1(reduced_step(q, y), y) >= tol:
+    residual = _l1(reduced_step(q, y), y)
+    if residual >= tol:
         for rows, _ in _orbit(q, y, max_iters, tol):
             iterations += len(rows)
             y = rows[-1]
-    if refine:
-        y, residual = _newton_refine(q, y)
-    else:
         residual = _l1(reduced_step(q, y), y)
+    if refine:
+        y, residual = _newton_refine(q, y, residual)
     rho = tangent_spectral_radius(q, y)
     report = FixedPointReport(
         point=ReducedDistribution(y),
@@ -469,11 +468,15 @@ def f_alpha(alpha: float, x) -> float | np.ndarray:
     return 2.0 * (1.0 - 4.0 * alpha) * np.asarray(x) ** 2 + 4.0 * alpha * np.asarray(x)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 0.5:
+        raise AlphaOutOfRange(f"alpha must lie in (0, 1/2), got {alpha}")
+
+
 def analyze_f_alpha(alpha: float) -> FAlphaAnalysis:
     """Closed-form regime of the trait map: identity at alpha = 1/4,
     otherwise interior orbits run to 0 (alpha < 1/4) or 1/2 (alpha > 1/4)."""
-    if not 0.0 < alpha < 0.5:
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1/2), got {alpha}")
+    _check_alpha(alpha)
     if alpha == 0.25:
         regime = "identity"
     elif alpha < 0.25:
@@ -501,7 +504,7 @@ def analyze_quadratic_1d(a: float, b: float, c: float) -> Quadratic1dAnalysis:
         # the whole segment is fixed; report its endpoints
         return Quadratic1dAnalysis(a, b, c, delta, (0.0, 1.0), "identity")
     if abs(qa) < _DEGENERATE_TOL:
-        roots = [-qc / qb]
+        roots = [-qc / qb] if qb else []  # a zero slope has no root
     else:
         # stable quadratic formula
         disc = qb * qb - 4.0 * qa * qc

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, BadSum, NonPositiveAlpha
+from .dynamics import _check_alpha
+from .errors import BadSum, NonPositiveAlpha
 from .genotype import GenotypeSpace, build_space
 from .ingest import load_measure_family, save_measure_family
 from .operators import (
@@ -59,11 +60,6 @@ def trait_base_measure(alpha: float) -> Distribution:
     """The gender-symmetric base measure (alpha, 1/2 - alpha) per gender."""
     _check_alpha(alpha)
     return Distribution(trait_space(), [alpha, 0.5 - alpha, alpha, 0.5 - alpha])
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 0.5:
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1/2), got {alpha}")
 
 
 def mendelian_trait(alpha: float) -> ReducedQso:

@@ -208,6 +208,24 @@ def test_coeff_file_model_matches_builtin(capsys, tmp_path):
     assert out_file == out_builtin
 
 
+def test_fixpoint_on_a_near_identity_table_emits_valid_json(capsys, tmp_path):
+    # within validation tolerance, yet its closed-form quadratic has a zero
+    # slope and a negligible leading term: no closed-form fixed point, not a crash
+    path = tmp_path / "flat.csv"
+    rows = {"+,+": ("0.5", "0"), "+,-": ("0.2500000000000005", "0.2499999999999995"),
+            "-,+": ("0.2500000000000005", "0.2499999999999995"),
+            "-,-": ("5e-16", "0.4999999999999995")}
+    path.write_text("# space: +,-\nmother,father,child_gender,child_type,value\n" + "".join(
+        f"{pair},{gender},{child},{value}\n" for pair, values in rows.items()
+        for gender in "fm" for child, value in zip("+-", values)))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0 and out.startswith("ok")
+    code, out, _ = run_cli(capsys, "fixpoint", "--coeff-file", str(path))
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["closed_form_fixed_points"] == []
+
+
 # --- determinism and starts --------------------------------------------------------
 
 def test_output_is_byte_identical_across_runs(capsys):

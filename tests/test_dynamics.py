@@ -304,6 +304,16 @@ def test_analyze_quadratic_degenerate_and_outside_regimes():
     assert res.fixed_points == pytest.approx(((3.0 - 5.0 ** 0.5) / 2.0,), abs=1e-15)
 
 
+def test_analyze_quadratic_zero_slope_has_no_root():
+    # at c = 1e-15 the slope qb rounds to exactly 0 and |qa| is below the
+    # degenerate tolerance, so the equation is the constant qc: no root, as
+    # the quadratic formula finds for the neighbouring row at c = 2e-15
+    for c in (1e-15, 2e-15):
+        res = analyze_quadratic_1d(1.0, 0.5 + c, c)
+        assert res.fixed_points == ()
+        assert res.regime == "unique attracting"
+
+
 def test_analyze_quadratic_rejects_bad_coefficients():
     with pytest.raises(InvalidCoefficients):
         analyze_quadratic_1d(1.2, 0.5, 0.1)

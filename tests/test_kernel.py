@@ -218,6 +218,20 @@ def test_find_fixed_point_from_fixed_start_takes_no_steps():
     assert np.array_equal(report.point.values, vertex)
 
 
+def test_find_fixed_point_from_fixed_start_evaluates_its_residual_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return qso.operators.reduced_step(*args)
+
+    monkeypatch.setattr(dynamics, "reduced_step", counting)
+    q = qso.multi_allele([0.2, 0.15, 0.1, 0.05])
+    find_fixed_point(q, ReducedDistribution([1.0, 0.0, 0.0, 0.0]))
+    # the start's residual, then one Newton step's residual map and candidate
+    assert len(calls) == 3
+
+
 def test_stride_one_orbit_holds_one_copy_of_its_rows():
     q = cyclic_shift_operator()
     y0 = ReducedDistribution([0.5, 0.3, 0.2])
@@ -377,6 +391,39 @@ def test_scalar_step_leaves_a_zero_total_to_einsum():
     assert (k, converged) == (k_expected, False)
 
 
+SENTINEL = -7.25  # a value no step writes here
+BLOCK_CASES = {name: SMALL_CASES[name] for name in ("cyclic", "trait-0.2499", "rh", "abo")}
+BLOCK_CASES["random-1"] = (lambda: random_symmetric_qso(rng(1), 1), [1.0])
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_scalar_block_writes_its_steps_and_nothing_else(name):
+    make, y0 = BLOCK_CASES[name]
+    q = make()
+    block = dynamics._scalar_block(q.n, q.p.tobytes())
+    for b in (1, 8, 1024):
+        buf = np.full((dynamics._BLOCK_MAX + 1, q.n), SENTINEL)
+        buf[0] = y0
+        before = buf.copy()
+        assert block(buf, b) is True
+        expected = per_step_orbit(q, y0, b, 0.0, 1)[0]
+        assert buf[1:b + 1].tobytes() == expected[1:].tobytes()
+        assert buf[0].tobytes() == before[0].tobytes()
+        assert buf[b + 1:].tobytes() == before[b + 1:].tobytes()
+
+
+def test_scalar_block_declines_a_zero_total_and_writes_nothing():
+    # from (1, -1) the trait operator at alpha = 1/4 maps to (0, 0)
+    q = qso.mendelian_trait(0.25)
+    block = dynamics._scalar_block(q.n, q.p.tobytes())
+    for b in (1, 8, 1024):
+        buf = np.full((dynamics._BLOCK_MAX + 1, 2), SENTINEL)
+        buf[0] = [1.0, -1.0]
+        before = buf.tobytes()
+        assert block(buf, b) is False
+        assert buf.tobytes() == before
+
+
 @pytest.mark.parametrize("n,einsum_calls", [(2, 0), (3, 0), (4, 0), (5, 17), (6, 17)])
 def test_only_operators_above_four_types_step_by_einsum(monkeypatch, n, einsum_calls):
     calls = []
@@ -464,7 +511,8 @@ def test_newton_polish_matches_the_halving_loop_with_fewer_steps(monkeypatch, me
     new_calls, old_calls = [], []
     for y in newton_starts(q, y0):
         del calls[:]
-        polished, residual = dynamics._newton_refine(q, y)
+        polished, residual = dynamics._newton_refine(
+            q, y, dynamics._l1(dynamics.reduced_step(q, y), y))
         new_calls.append(len(calls))
         assert np.float64(residual).tobytes() == np.float64(
             dynamics._l1(qso.operators.reduced_step(q, polished), polished)).tobytes()
