@@ -381,42 +381,45 @@ def _classify(rho: float) -> str:
 
 
 def _newton_refine(q: ReducedQso, y: np.ndarray,
-                   residual: float) -> tuple[np.ndarray, float]:
+                   image: np.ndarray) -> tuple[np.ndarray, float]:
     """Damped Newton polish of the residual map y - V(y) within the simplex,
-    from ``y`` and its residual ``_l1(reduced_step(q, y), y)``.  Returns the
-    polished point and its residual.
+    from ``y`` and its image ``reduced_step(q, y)``.  Returns the polished
+    point and its residual ``_l1(reduced_step(q, point), point)``.
 
     The linear solve is constrained to the tangent space; steps that would
     leave the simplex are halved, and a step that cannot improve the
     residual ends the polish (pure iteration output is then kept).  Halving
-    stops early once a step no longer moves the point by a bit.
+    stops early once a step no longer moves the point by a bit.  Each
+    point's image is computed once: an accepted candidate keeps the image
+    its residual came from, and the next step's right-hand side reuses it.
     """
     n = q.n
     eye = np.eye(n)
     a = np.ones((n + 1, n))  # [I - J; ones], rows 0..n-1 rewritten per step
     rhs = np.zeros(n + 1)    # [y - V(y); 0]
-    best, best_res = y, residual
+    best, best_image, best_res = y, image, _l1(image, y)
     for _ in range(_NEWTON_STEPS):
-        np.subtract(best, reduced_step(q, best), out=rhs[:n])
+        np.subtract(best, best_image, out=rhs[:n])
         np.subtract(eye, jacobian(q, best), out=a[:n])
         d, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        improved = False
         t = 1.0
         for _ in range(40):
             moved = best - t * d
             if moved.min() >= 0.0:
                 cand = moved / moved.sum()
-                res = _l1(reduced_step(q, cand), cand)
+                cand_image = reduced_step(q, cand)
+                res = _l1(cand_image, cand)
                 if res < best_res:
-                    best, best_res = cand, res
-                    improved = True
+                    best, best_image, best_res = cand, cand_image, res
                     break
             if moved.tobytes() == best.tobytes():
                 # rounding is monotone, so every smaller t gives this same
-                # candidate and the same outcome: stop halving
-                break
+                # candidate and the same outcome: no step improves
+                return best, best_res
             t /= 2.0
-        if not improved or best_res < n * _NEWTON_FLOOR:
+        else:
+            break  # no step improved
+        if best_res < n * _NEWTON_FLOOR:
             break
     return best, best_res
 
@@ -430,14 +433,16 @@ def find_fixed_point(q: ReducedQso, y0: ReducedDistribution, tol: float = DEFAUL
     _check_solver_args(q, y0, tol, max_iters)
     y = y0.values
     iterations = 0
-    residual = _l1(reduced_step(q, y), y)
-    if residual >= tol:
+    image = reduced_step(q, y)
+    if _l1(image, y) >= tol:
         for rows, _ in _orbit(q, y, max_iters, tol):
             iterations += len(rows)
             y = rows[-1]
-        residual = _l1(reduced_step(q, y), y)
+        image = reduced_step(q, y)
     if refine:
-        y, residual = _newton_refine(q, y, residual)
+        y, residual = _newton_refine(q, y, image)
+    else:
+        residual = _l1(image, y)
     rho = tangent_spectral_radius(q, y)
     report = FixedPointReport(
         point=ReducedDistribution(y),
@@ -503,17 +508,19 @@ def analyze_quadratic_1d(a: float, b: float, c: float) -> Quadratic1dAnalysis:
     if max(abs(qa), abs(qb), abs(qc)) < _DEGENERATE_TOL:
         # the whole segment is fixed; report its endpoints
         return Quadratic1dAnalysis(a, b, c, delta, (0.0, 1.0), "identity")
+    # a = 1 fixes y = 1 and c = 0 fixes y = 0 exactly, where the formula's
+    # roots can round away; listed first, the exact vertex wins a near-tie
+    roots = [v for v, fixed in ((1.0, a == 1.0), (0.0, c == 0.0)) if fixed]
     if abs(qa) < _DEGENERATE_TOL:
-        roots = [-qc / qb] if qb else []  # a zero slope has no root
+        if qb:  # a zero slope has no root
+            roots.append(-qc / qb)
     else:
         # stable quadratic formula
         disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            roots = []
-        else:
+        if disc >= 0.0:
             s = math.sqrt(disc)
             r1 = (-qb - math.copysign(s, qb)) / (2.0 * qa)
-            roots = [r1, qc / (qa * r1)] if r1 != 0.0 else [0.0, -qb / qa]
+            roots += [r1, qc / (qa * r1)] if r1 != 0.0 else [0.0, -qb / qa]
     kept = []
     for r in roots:
         if -ROUNDING_TOL <= r <= 1.0 + ROUNDING_TOL:

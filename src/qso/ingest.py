@@ -106,9 +106,9 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
         cells.append((i * m + j) * space.total + offset + t)
         values.append(row.count)
     cells = np.array(cells, dtype=np.intp)
-    acc = np.zeros((m, m, space.total))
-    # unbuffered and in row order, so repeated cells sum as a Python loop would
-    np.add.at(acc.reshape(-1), cells, np.array(values, dtype=float))
+    # in row order from +0.0, so repeated cells sum as a Python loop would
+    acc = np.bincount(cells, weights=np.array(values, dtype=float),
+                      minlength=m * m * space.total).reshape(m, m, -1)
     seen = np.zeros(m * m, dtype=bool)
     seen[cells // space.total] = True
     if not seen.all():

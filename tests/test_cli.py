@@ -208,22 +208,44 @@ def test_coeff_file_model_matches_builtin(capsys, tmp_path):
     assert out_file == out_builtin
 
 
+def two_type_table(path, rows):
+    """Write a ``+,-`` coefficient table whose child rows, for each parent
+    pair, are the same for both child genders."""
+    path.write_text("# space: +,-\nmother,father,child_gender,child_type,value\n" + "".join(
+        f"{pair},{gender},{child},{value}\n" for pair, values in rows.items()
+        for gender in "fm" for child, value in zip("+-", values)))
+
+
 def test_fixpoint_on_a_near_identity_table_emits_valid_json(capsys, tmp_path):
     # within validation tolerance, yet its closed-form quadratic has a zero
-    # slope and a negligible leading term: no closed-form fixed point, not a crash
+    # slope and a negligible leading term: not a crash, and the one closed-form
+    # fixed point is the vertex y = 1 that a = 1 fixes exactly
     path = tmp_path / "flat.csv"
     rows = {"+,+": ("0.5", "0"), "+,-": ("0.2500000000000005", "0.2499999999999995"),
             "-,+": ("0.2500000000000005", "0.2499999999999995"),
             "-,-": ("5e-16", "0.4999999999999995")}
-    path.write_text("# space: +,-\nmother,father,child_gender,child_type,value\n" + "".join(
-        f"{pair},{gender},{child},{value}\n" for pair, values in rows.items()
-        for gender in "fm" for child, value in zip("+-", values)))
+    two_type_table(path, rows)
     code, out, _ = run_cli(capsys, "validate", str(path))
     assert code == 0 and out.startswith("ok")
     code, out, _ = run_cli(capsys, "fixpoint", "--coeff-file", str(path))
     assert code == 0
     payload = strict_json(out)
-    assert payload["closed_form_fixed_points"] == []
+    assert payload["closed_form_fixed_points"] == [1.0]
+
+
+def test_fixpoint_reports_the_vertex_double_root_of_a_table(capsys, tmp_path):
+    # a = 1, b = 1/2, c = 1/10: y = 1 is a double root whose discriminant
+    # rounds below zero; the orbit creeps towards it and the closed form has it
+    path = tmp_path / "vertex.csv"
+    two_type_table(path, {"+,+": ("0.5", "0"), "+,-": ("0.25", "0.25"),
+                          "-,+": ("0.25", "0.25"), "-,-": ("0.05", "0.45")})
+    code, out, _ = run_cli(capsys, "fixpoint", "--coeff-file", str(path),
+                           "--max-iters", "1000")
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["delta"] == 0.0
+    assert payload["closed_form_fixed_points"] == [1.0]
+    assert payload["point"][0] == pytest.approx(1.0, abs=1e-7)
 
 
 # --- determinism and starts --------------------------------------------------------

@@ -306,12 +306,28 @@ def test_analyze_quadratic_degenerate_and_outside_regimes():
 
 def test_analyze_quadratic_zero_slope_has_no_root():
     # at c = 1e-15 the slope qb rounds to exactly 0 and |qa| is below the
-    # degenerate tolerance, so the equation is the constant qc: no root, as
-    # the quadratic formula finds for the neighbouring row at c = 2e-15
+    # degenerate tolerance, so the equation is the constant qc: no formula
+    # root, as for the neighbouring row at c = 2e-15.  a = 1 still fixes the
+    # vertex y = 1 exactly, and that is the one fixed point reported
     for c in (1e-15, 2e-15):
         res = analyze_quadratic_1d(1.0, 0.5 + c, c)
-        assert res.fixed_points == ()
+        assert res.fixed_points == (1.0,)
         assert res.regime == "unique attracting"
+
+
+def test_analyze_quadratic_keeps_a_vertex_double_root():
+    # a = 1 makes y = 1 a double root; the discriminant rounds to -2.8e-17
+    res = analyze_quadratic_1d(1.0, 0.5, 0.1)
+    assert res.fixed_points == (1.0,)
+    assert res.delta == 0.0
+    assert res.regime == "degenerate"
+
+
+def test_analyze_quadratic_lists_each_exact_vertex_once():
+    # c = 0 fixes y = 0 and a = 1 fixes y = 1; the formula finds them too
+    assert analyze_quadratic_1d(1.0, 0.3, 0.0).fixed_points == (0.0, 1.0)
+    assert analyze_quadratic_1d(0.4, 0.3, 0.0).fixed_points == (0.0,)
+    assert analyze_quadratic_1d(0.0, 0.0, 0.0).fixed_points == (0.0,)
 
 
 def test_analyze_quadratic_rejects_bad_coefficients():

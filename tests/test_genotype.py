@@ -83,6 +83,18 @@ def test_unknown_labels_keep_their_messages():
         space.trait_label(-1)
 
 
+def test_indices_outside_the_space_keep_their_messages():
+    space = build_space([["A", "a"], ["B", "b"]])
+    with pytest.raises(ValueError, match=r"gender must be one of \('f', 'm'\), got 'x'"):
+        Genotype("x", (0,))
+    for bad in (space.m, -1):
+        with pytest.raises(ValueError, match=f"trait index {bad} out of range"):
+            space.traits_of(bad)
+    for bad in (space.total, -1):
+        with pytest.raises(ValueError, match=f"genotype index {bad} out of range"):
+            space.genotype(bad)
+
+
 def test_label_table_leaves_equality_and_hash_alone():
     space = build_space([["A", "a"], ["B", "b"]])
     other = build_space([["A", "a"], ["B", "b"]])

@@ -228,8 +228,9 @@ def test_find_fixed_point_from_fixed_start_evaluates_its_residual_once(monkeypat
     monkeypatch.setattr(dynamics, "reduced_step", counting)
     q = qso.multi_allele([0.2, 0.15, 0.1, 0.05])
     find_fixed_point(q, ReducedDistribution([1.0, 0.0, 0.0, 0.0]))
-    # the start's residual, then one Newton step's residual map and candidate
-    assert len(calls) == 3
+    # the start's image, then one Newton step's candidate: the step's
+    # right-hand side reuses the start's image
+    assert len(calls) == 2
 
 
 def test_stride_one_orbit_holds_one_copy_of_its_rows():
@@ -501,19 +502,26 @@ def test_newton_polish_matches_the_halving_loop_with_fewer_steps(monkeypatch, me
     else:
         make, y0 = SMALL_CASES[name]
         q = make()
-    calls = []
+    calls, newton_steps = [], []
+    jacobian = dynamics.jacobian
 
     def counting(*args):
         calls.append(1)
         return qso.operators.reduced_step(*args)
 
+    def counting_jacobian(*args):
+        newton_steps.append(1)
+        return jacobian(*args)
+
     monkeypatch.setattr(dynamics, "reduced_step", counting)
+    monkeypatch.setattr(dynamics, "jacobian", counting_jacobian)
     new_calls, old_calls = [], []
     for y in newton_starts(q, y0):
-        del calls[:]
-        polished, residual = dynamics._newton_refine(
-            q, y, dynamics._l1(dynamics.reduced_step(q, y), y))
-        new_calls.append(len(calls))
+        del calls[:], newton_steps[:]
+        polished, residual = dynamics._newton_refine(q, y, dynamics.reduced_step(q, y))
+        # the halving loop computes each step's image afresh, where the
+        # polish reuses the one its residual came from: add those back
+        new_calls.append(len(calls) + len(newton_steps))
         assert np.float64(residual).tobytes() == np.float64(
             dynamics._l1(qso.operators.reduced_step(q, polished), polished)).tobytes()
         del calls[:]
