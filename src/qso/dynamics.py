@@ -42,28 +42,10 @@ than the spread between rounds, so the cutoff stays at 4:
     scalar   0.41  1.00  2.11  3.97  15.4
     einsum   4.05  4.25  4.30  4.40  5.48
 
-Larger operators whose coefficients are mostly zero step from a table of
-their nonzero coefficients instead (``_sparse_step``).  Mendelian ones are:
-a child type arises only from parents whose offspring set contains it, so
-at m = 64 and 128 only 17.8% and 13.4% of the coefficients are nonzero.
-The same argument makes it exact.  Column k of the child-major table holds
-child k's nonzero coefficients in (i, j) C order; a step forms each term as
-``(c * y_i) * y_j`` and sums each column with ``np.add.reduce`` over axis
-0, which adds the rows one after another to the starting row (only a
-reduction along the contiguous axis is pairwise).  The columns start at
-0.0, each chunk of rows continues from the sums so far, and padding adds
-+0.0 coefficients.  A skipped term is a signed zero only when y is finite
-(0 * inf is NaN), so a row with a non-finite entry, seen as a non-finite
-sum, steps by einsum.  The table is used when it fills at most
-``_SPARSE_MAX_FILL`` = 1/4 of n^3, counting each chunk's NumPy calls as
-``_CHUNK_CELLS`` more cells; a table term costs about 3 ns against einsum's
-1 ns, so it then wins at least 1.3x.  Dense operators, such as one
-estimated from counts, and any with fewer than 22 types keep einsum.
-Per step on Mendelian operators (microseconds, one core, best of 5):
-
-    n        64    128
-    sparse   147   871
-    einsum   276   2153
+Larger operators take the step of ``operators._stepper``, which
+``reduced_step`` and so the Newton polish share: einsum, or for a
+mostly-zero operator such as a Mendelian one its table of nonzero
+coefficients, built once per operator, with the same bits.
 
 A matrix-form step ``(A @ y) @ y`` would be faster for large n, but it
 rounds differently by a few ulp, which shows in 12-digit output near a
@@ -83,9 +65,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import operators
 from .errors import AlphaOutOfRange, InvalidCoefficients, NoConvergence
 from .operators import (_DEGENERATE_TOL, _NEWTON_FLOOR, CLASSIFY_MARGIN, ROUNDING_TOL,
-                        ReducedDistribution, ReducedQso, _blocks, reduced_step)
+                        ReducedDistribution, ReducedQso, _stepper, reduced_step)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 1_000_000
@@ -93,10 +76,6 @@ _NEWTON_STEPS = 60
 _BLOCK_MIN = 8        # steps in the first block and the fewest in any block
 _BLOCK_MAX = 1024     # most steps in one block
 _SCALAR_MAX_N = 4     # largest n stepped in Python floats rather than by einsum
-_CHUNK_BYTES = 1 << 18   # coefficient bytes per chunk of the sparse step's table
-_SPARSE_MAX_FILL = 0.25  # largest share of n^3 the sparse step's table may fill
-_CHUNK_CELLS = 2048      # table cells that cost as much as one chunk's NumPy calls
-_einsum = np.einsum      # the einsum step and the Jacobian call it by this one name
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,63 +183,6 @@ def _scalar_block(n: int, coefficients: bytes):
     return namespace["make"](*(float(p[key]) for key in used))
 
 
-def _sparse_step(p: np.ndarray):
-    """``np.einsum("ijk,i,j->k", p, y, y, out=out)`` from the nonzero
-    coefficients of ``p`` alone, as ``step(y, out)``, bitwise equal to it for
-    finite ``y`` (see the module docstring).  None when its table, counting
-    each chunk's NumPy calls as ``_CHUNK_CELLS`` more cells, would fill more
-    than ``_SPARSE_MAX_FILL`` of the n^3 einsum terms.
-
-    Column k of the child-major table lists the nonzero ``p[i, j, k]`` and
-    their pair index ``i * n + j`` in (i, j) C order, padded at the end with
-    +0.0 coefficients of pair 0.  Its rows are cut into chunks of about
-    ``_CHUNK_BYTES``, so every temporary of a step is that small, and it is
-    built one ``_blocks`` slice of ``p`` at a time."""
-    n = len(p)
-    counts = sum(np.count_nonzero(p[b], axis=(0, 1)) for b in _blocks(p))
-    rows = int(counts.max())
-    chunks = -(-rows * n * 8 // _CHUNK_BYTES)
-    height = -(-rows // chunks)
-    if chunks * (height * n + _CHUNK_CELLS) > _SPARSE_MAX_FILL * n ** 3:
-        return None
-    coefs = np.zeros((chunks, height, n))
-    pairs = np.zeros((chunks, height, n), dtype=np.intp)
-    filled = np.zeros(n, dtype=np.intp)  # entries written per column
-    for b in _blocks(p):
-        block = p[b].reshape(-1, n)  # one row per pair (i, j), in C order
-        nz = np.flatnonzero((block != 0.0).T)  # child-major: by k, then by pair
-        k, pair = np.divmod(nz, len(block))
-        here = np.bincount(k, minlength=n)
-        rank = np.arange(len(nz)) - (np.cumsum(here) - here)[k]
-        at = (filled[k] + rank) * n + k
-        coefs.reshape(-1)[at] = block.reshape(-1)[pair * n + k]
-        pairs.reshape(-1)[at] = pair + b.start * n
-        filled += here
-    rep = np.empty((n, n))   # rep[i, j] = y_i, so rep.ravel() is np.repeat(y, n)
-    tile = np.empty((n, n))  # tile[i, j] = y_j, so tile.ravel() is np.tile(y, n)
-    flat_rep, flat_tile = rep.reshape(-1), tile.reshape(-1)
-    terms = np.empty((height + 1, n))  # the sums so far, then one chunk's terms
-    sums, chunk_terms = terms[0], terms[1:]
-    factor = np.empty((height, n))
-    take, multiply, add = np.take, np.multiply, np.add.reduce
-
-    def step(y: np.ndarray, out: np.ndarray) -> None:
-        rep[...] = y[:, None]
-        tile[...] = y
-        out[...] = 0.0
-        for c, pair in zip(coefs, pairs):
-            take(flat_rep, pair, out=chunk_terms, mode="clip")
-            take(flat_tile, pair, out=factor, mode="clip")
-            multiply(c, chunk_terms, out=chunk_terms)
-            multiply(chunk_terms, factor, out=chunk_terms)
-            # the reduction over axis 0 adds the rows one by one, starting
-            # from the sums so far: each column's terms in table order
-            sums[...] = out
-            add(terms, axis=0, out=out)
-
-    return step
-
-
 def _orbit(q: ReducedQso, y0: np.ndarray, max_iters: int, tol: float):
     """Renormalized quadratic steps from ``y0`` until the l1 step size drops
     below ``tol`` or ``max_iters`` steps are done.
@@ -269,10 +191,9 @@ def _orbit(q: ReducedQso, y0: np.ndarray, max_iters: int, tol: float):
     buffer that the next block overwrites, and the l1 sizes of the steps that
     reached them.  The last block ends at the first step below ``tol``.
     """
-    p = q.p
     total = np.add.reduce
-    block = _scalar_block(q.n, p.tobytes()) if q.n <= _SCALAR_MAX_N else None
-    sparse = _sparse_step(p) if block is None and max_iters > 0 else None
+    block = _scalar_block(q.n, q.p.tobytes()) if q.n <= _SCALAR_MAX_N else None
+    step = _stepper(q)
     buf = np.empty((_BLOCK_MAX + 1, q.n))
     buf[0] = y0
     k = 0
@@ -282,11 +203,7 @@ def _orbit(q: ReducedQso, y0: np.ndarray, max_iters: int, tol: float):
         if block is None or not block(buf, b):
             rows = list(buf[:b + 1])
             for prev, row in zip(rows, rows[1:]):
-                # a finite sum means every entry of prev is finite
-                if sparse is not None and math.isfinite(total(prev)):
-                    sparse(prev, row)
-                else:
-                    _einsum("ijk,i,j->k", p, prev, prev, out=row)
+                step(prev, row)
                 row /= total(row)
         steps = np.abs(buf[1:b + 1] - buf[:b]).sum(axis=1)
         hit = np.flatnonzero(steps < tol)
@@ -302,7 +219,7 @@ def _orbit(q: ReducedQso, y0: np.ndarray, max_iters: int, tol: float):
 
 def _check_solver_args(q: ReducedQso, y0: ReducedDistribution, tol: float, max_iters: int,
                        stride: int = 1) -> None:
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -355,7 +272,7 @@ def iterate(q: ReducedQso, y0: ReducedDistribution, max_iters: int = DEFAULT_MAX
 
 def jacobian(q: ReducedQso, y: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the quadratic step: ``J[k, i] = 2 sum_j p[i,j,k] y_j``."""
-    return 2.0 * _einsum("ijk,j->ki", q.p, np.asarray(y, dtype=float))
+    return 2.0 * operators._einsum("ijk,j->ki", q.p, np.asarray(y, dtype=float))
 
 
 def tangent_spectral_radius(q: ReducedQso, y: np.ndarray) -> float:

@@ -176,6 +176,21 @@ def test_validate_tolerance_flag(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_validate_rejects_a_negative_or_nan_tolerance(capsys, tol):
+    code, out, err = run_cli(capsys, "validate", str(_table_path("abo.csv")), "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert "tolerance must be >= 0" in err
+
+
+def test_fixpoint_rejects_a_nan_tolerance(capsys):
+    code, out, err = run_cli(capsys, "fixpoint", "--model", "abo", "--tol", "nan")
+    assert code == 1
+    assert out == ""
+    assert "tol must be positive" in err
+
+
 def test_ingest_then_validate(capsys, tmp_path):
     counts = tmp_path / "counts.csv"
     lines = ["# space: +,-", "mother,father,child_gender,child_type,count"]

@@ -146,6 +146,8 @@ def test_negative_budget_is_rejected(max_iters):
     (iterate, [0.2, 0.3, 0.5], {}, "start has 3 types, operator expects 2"),
     (find_fixed_point, [0.5, 0.5], {"tol": 0.0}, "tol must be positive"),
     (find_fixed_point, [0.2, 0.3, 0.5], {}, "start has 3 types, operator expects 2"),
+    (iterate, [0.5, 0.5], {"tol": float("nan")}, "tol must be positive"),
+    (find_fixed_point, [0.5, 0.5], {"tol": float("nan")}, "tol must be positive"),
 ])
 def test_solver_arguments_are_checked(solve, start, kwargs, message):
     q, _ = qso.rh_model()

@@ -7,9 +7,13 @@ returns must be bitwise equal to this oracle, not merely close.
 """
 
 import functools
+import gc
 import operator
 import pickle
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 
 import qso
 from qso import Distribution, ReducedDistribution, ReducedQso, build_space
-from qso import dynamics
+from qso import dynamics, operators
 from qso.dynamics import find_fixed_point, iterate
 from qso.operators import ROUNDING_TOL
 
@@ -433,7 +437,7 @@ def test_only_operators_above_four_types_step_by_einsum(monkeypatch, n, einsum_c
         calls.append(args[0])
         return np.einsum(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_einsum", counting)
+    monkeypatch.setattr(operators, "_einsum", counting)
     q = random_symmetric_qso(rng(810 + n), n)
     traj = iterate(q, ReducedDistribution(random_simplex(rng(820 + n), n)), max_iters=17,
                    tol=1e-300)
@@ -441,15 +445,43 @@ def test_only_operators_above_four_types_step_by_einsum(monkeypatch, n, einsum_c
     assert len(calls) == einsum_calls
 
 
-def test_reduced_qso_pickles_after_iterating():
-    for name in ("rh", "abo", "cyclic"):
-        make, y0 = SMALL_CASES[name]
+def test_reduced_qso_pickles_after_iterating(monkeypatch):
+    builds = []
+    build = operators._sparse_table
+    monkeypatch.setattr(operators, "_sparse_table", lambda p: builds.append(p) or build(p))
+    cases = {name: SMALL_CASES[name] for name in ("rh", "abo", "cyclic")}
+    cases["mendelian-64"] = (mendelian_operator, np.full(64, 1.0 / 64))
+    for make, y0 in cases.values():
         q = make()
+        del builds[:]
         before = iterate(q, ReducedDistribution(y0), max_iters=50)
+        qso.apply_reduced(q, ReducedDistribution(y0))
+        assert len(builds) == 1  # the first step looks for a table; later ones reuse it
         copy = pickle.loads(pickle.dumps(q))
         assert copy.n == q.n and np.array_equal(copy.p, q.p)
+        assert "_table" not in vars(copy) and repr(copy) == repr(q)
         after = iterate(copy, ReducedDistribution(y0), max_iters=50)
         assert before.points.tobytes() == after.points.tobytes()
+        assert len(builds) == 2  # the copy has no table of its own until it steps
+    # q is now the Mendelian operator, which steps through its table
+    assert q._table is not None
+    find_fixed_point(q, ReducedDistribution(y0))
+    assert len(builds) == 2
+    gen = rng(830)
+    rows = list(starts_with_signed_zeros(gen, q.n, 8))
+    for bad in (np.nan, np.inf, -np.inf):
+        rows.append(random_simplex(gen, q.n))
+        rows[-1][int(gen.integers(q.n))] = bad
+    with np.errstate(all="ignore"):
+        for y in rows:
+            expected = np.einsum("ijk,i,j->k", q.p, y, y)
+            assert qso.operators.reduced_step(q, y).tobytes() == expected.tobytes()
+    assert len(builds) == 2
+    # the cached table does not keep its operator alive
+    alive = weakref.ref(q)
+    del q, copy
+    gc.collect()
+    assert alive() is None
 
 
 def halving_newton_refine(q, y, budget=dynamics._NEWTON_STEPS):
@@ -533,8 +565,8 @@ def test_newton_polish_matches_the_halving_loop_with_fewer_steps(monkeypatch, me
 
 
 # Operators with more than 4 types whose child-major table of nonzero
-# coefficients is small step by ``_sparse_step``, which must equal one
-# c_einsum step byte for byte on every finite row.
+# coefficients (``operators._sparse_table``) is small step from it, and each
+# such step must equal one einsum step byte for byte on every finite row.
 
 def random_sparse_qso(gen, n, density):
     """Symmetric stochastic tensor where each pair has children with
@@ -565,7 +597,7 @@ def counting_c_einsum(monkeypatch):
         calls.append(args[0])
         return np.einsum(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_einsum", counting)
+    monkeypatch.setattr(operators, "_einsum", counting)
     return calls
 
 
@@ -580,14 +612,16 @@ def test_sparse_step_matches_one_c_einsum_step(monkeypatch, n, density, seed):
     assert counts.min() < counts.max()  # short columns are padded
     if n < 24:
         # too small to gain; the step is exact all the same
-        assert dynamics._sparse_step(q.p) is None
-        monkeypatch.setattr(dynamics, "_SPARSE_MAX_FILL", np.inf)
-    step = dynamics._sparse_step(q.p)
-    assert step is not None
+        assert operators._sparse_table(q.p) is None
+        monkeypatch.setattr(operators, "_SPARSE_MAX_FILL", np.inf)
+    step = operators._stepper(q)
+    assert q._table is not None
+    calls = counting_c_einsum(monkeypatch)
     out = np.empty(n)
     for y in starts_with_signed_zeros(gen, n, 60):
         step(y, out)
         assert out.tobytes() == np.einsum("ijk,i,j->k", q.p, y, y).tobytes()
+    assert calls == []  # every step took the table
 
 
 @pytest.mark.parametrize("n,density,seed", SPARSE_CASES)
@@ -604,6 +638,33 @@ def test_sparse_orbit_matches_per_step_loop(monkeypatch, n, density, seed):
         assert np.array_equal(traj.indices, indices)
         assert (traj.iterations, traj.final_residual) == (k, residual)
     assert calls == []  # every step took the sparse path
+
+
+def test_threads_sharing_a_sparse_operator_step_through_their_own_buffers():
+    # the table is shared, the scratch buffers are not: threads iterating one
+    # operator from different starts get the orbits that each gets alone
+    q = random_sparse_qso(rng(811), 24, 0.02)
+    starts = [ReducedDistribution(random_simplex(rng(812 + t), 24)) for t in range(4)]
+    alone = [iterate(q, y0, max_iters=1000, tol=1e-300).points.tobytes() for y0 in starts]
+    together = [None] * len(starts)
+    barrier = threading.Barrier(len(starts))
+
+    def run(t):
+        barrier.wait()
+        together[t] = iterate(q, starts[t], max_iters=1000, tol=1e-300).points.tobytes()
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(len(starts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-step
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert together == alone
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -626,7 +687,7 @@ def test_sparse_step_leaves_a_non_finite_row_to_einsum(monkeypatch, bad):
 def test_dense_operator_steps_by_einsum(monkeypatch):
     # the ingest pipeline's estimated n = 36 operator is almost all nonzero
     q = random_symmetric_qso(rng(809), 36)
-    assert dynamics._sparse_step(q.p) is None
+    assert operators._sparse_table(q.p) is None
     calls = counting_c_einsum(monkeypatch)
     traj = iterate(q, ReducedDistribution(random_simplex(rng(810), 36)), max_iters=17,
                    tol=1e-300)
@@ -647,14 +708,15 @@ def test_sparse_table_build_stays_small_at_128_types(mendelian128):
     # buffers, and is built one 1 MiB slice of the operator at a time
     p = mendelian128.p
     assert (np.count_nonzero(p, axis=(0, 1)) == 3 ** 7).all()
+    fresh = ReducedQso(128, p)  # shares p, but not the fixture's cached table
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        step = dynamics._sparse_step(p)
+        step = operators._stepper(fresh)
         held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert step is not None
+    assert fresh._table is not None
     assert held < 6 * 2**20
     assert peak < held + 2 * 2**20
 

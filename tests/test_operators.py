@@ -186,6 +186,21 @@ def test_validate_published_tables_tolerances():
     assert {v.kind for v in flagged.violations} == {"normalization"}
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-12])
+def test_validation_tolerance_must_not_be_negative_or_nan(tmp_path, tol):
+    family = qso.abo_measure_family()
+    t = nonmendelian_coefficients(family.space, family.renormalized())
+    path = tmp_path / "abo.csv"
+    qso.save_measure_family(family, path)
+    for check in (lambda: validate_pq(t, tol=tol), lambda: family.validate(tol),
+                  lambda: qso.load_measure_family(path, tol)):
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            check()
+    # zero stays a valid tolerance, which flags any rounding at all
+    assert validate_pq(t, tol=0.0).tol == 0.0
+    assert {v.kind for v in family.validate(0.0)} == {"normalization"}
+
+
 def test_validate_random_pq_tensors_are_clean():
     gen = rng(11)
     for p in (0.3, 0.5, 0.7):
