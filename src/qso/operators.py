@@ -26,10 +26,12 @@ only by ``_check_gender_gap``.  The checks that need full-size temporaries
 the ratio and support checks of ``_pair_violations``) walk the first axis in
 blocks of about 1 MiB.
 
-``reduced_step``, and through ``_stepper`` the orbit kernel and the Newton
-polish of ``dynamics``, take one quadratic step, ``np.einsum("ijk,i,j->k",
-p, y, y)``.  An operator whose coefficients are mostly zero steps instead
-from a table of its nonzero coefficients, with the same bits.  Mendelian
+``reduced_step``, which the Newton polish of ``dynamics`` calls, and
+through ``_stepper`` the orbit kernel take one quadratic step,
+``np.einsum("ijk,i,j->k", p, y, y)``; ``reduced_step`` on an operator
+without a table makes that one call and builds nothing for it.  An
+operator whose coefficients are mostly zero steps instead from a table of
+its nonzero coefficients, with the same bits.  Mendelian
 ones are such: a child type arises only from parents whose offspring set
 contains it, so at m = 64 and 128 only 17.8% and 13.4% of the coefficients
 are nonzero.  Column k of the child-major table holds child k's nonzero
@@ -525,7 +527,7 @@ class ReducedQso:
             )
 
     def __getstate__(self):
-        # the step table (see _stepper) is rebuilt on the copy's first step
+        # the step table (see _table) is rebuilt on the copy's first step
         return {k: v for k, v in vars(self).items() if k != "_table"}
 
 
@@ -578,8 +580,12 @@ def apply_reduced(q: ReducedQso, y: ReducedDistribution) -> ReducedDistribution:
 
 def reduced_step(q: ReducedQso, y: np.ndarray) -> np.ndarray:
     """Raw quadratic-form step on a plain vector (no simplex validation)."""
+    y = np.asarray(y, dtype=float)
     out = np.empty(q.n)
-    _stepper(q)(np.asarray(y, dtype=float), out)
+    if _table(q) is None:  # one einsum call, with no step built for it
+        _einsum("ijk,i,j->k", q.p, y, y, out=out)
+    else:
+        _stepper(q)(y, out)
     return out
 
 
@@ -618,22 +624,26 @@ def _sparse_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return coefs, pairs
 
 
-def _stepper(q: ReducedQso):
-    """``step(y, out)``: ``np.einsum("ijk,i,j->k", q.p, y, y, out=out)``,
-    from ``q``'s sparse table when it has one and every entry of ``y`` is
-    finite, bitwise equal either way (see the module docstring).
-
-    The table is built on the first call for ``q`` and kept as ``q._table``;
-    the scratch buffers belong to this step alone, so each caller, and each
-    thread, steps through its own."""
-    p = q.p
+def _table(q: ReducedQso) -> tuple[np.ndarray, np.ndarray] | None:
+    """``q``'s sparse table, or None when it steps by einsum: built by the
+    first call for ``q`` and kept as ``q._table``."""
     try:
-        table = q._table
+        return q._table
     except AttributeError:
         with _TABLE_LOCK:  # one build, also when threads race to take the first step
             if "_table" not in vars(q):
-                object.__setattr__(q, "_table", _sparse_table(p))
-            table = q._table
+                object.__setattr__(q, "_table", _sparse_table(q.p))
+            return q._table
+
+
+def _stepper(q: ReducedQso):
+    """``step(y, out)``: ``np.einsum("ijk,i,j->k", q.p, y, y, out=out)``,
+    from ``q``'s sparse table (see ``_table``) when it has one and every
+    entry of ``y`` is finite, bitwise equal either way (see the module
+    docstring).  The scratch buffers belong to this step alone, so each
+    caller, and each thread, steps through its own."""
+    p = q.p
+    table = _table(q)
     if table is None:
         return lambda y, out: _einsum("ijk,i,j->k", p, y, y, out=out)
     coefs, pairs = table

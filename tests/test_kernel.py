@@ -6,6 +6,7 @@ the same floating-point operations in the same order, so everything it
 returns must be bitwise equal to this oracle, not merely close.
 """
 
+import dis
 import functools
 import gc
 import operator
@@ -90,8 +91,20 @@ def mendelian_operator(components=6):
     return qso.reduce(qso.mendelian_coefficients(space, base))
 
 
+def mendel_fractions_operator(components):
+    """Per-component inheritance over biallelic components with a uniform
+    base measure: every coefficient is one of Mendel's 1, 1/2 and 1/4, so
+    the scalar block shares many products and skips the unit multiplies."""
+    space = build_space([("A", "a")] * components)
+    base = Distribution(space, np.full(2 * space.m, 0.5 / space.m))
+    return qso.reduce(qso.mendelian_coefficients(space, base))
+
+
 SMALL_CASES = {
     "cyclic": (lambda: cyclic_shift_operator(), [0.5, 0.3, 0.2]),
+    "mendelian-2": (lambda: mendel_fractions_operator(1), [0.3, 0.7]),
+    "mendelian-4": (lambda: mendel_fractions_operator(2), [0.4, 0.3, 0.2, 0.1]),
+    "multi-3": (lambda: qso.multi_allele([0.2, 0.2, 0.1]), [0.5, 0.3, 0.2]),
     "trait-0.2499": (lambda: qso.mendelian_trait(0.2499), [0.5, 0.5]),
     "trait-0.1": (lambda: qso.mendelian_trait(0.1), [0.5, 0.5]),
     "rh": (lambda: qso.rh_model()[0], [0.5, 0.5]),
@@ -364,13 +377,31 @@ def start_with_zeros(draw, n):
     return y / y.sum()
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), q=signed_zero_qso(), max_iters=st.integers(0, 1100),
-       stride=st.integers(1, 40), tol=st.sampled_from([1e-300, 1e-12, 1e-6]))
-def test_scalar_step_iterate_matches_per_step_loop_bitwise(data, q, max_iters, stride, tol):
+@st.composite
+def pooled_coefficient_qso(draw):
+    """Symmetric operators at n = 1..4 whose coefficients come from a small
+    pool: Mendel's 1, 1/2 and 1/4, a few random values r with their 1 - r,
+    and as zeros 0.0, -0.0 and tiny negatives.  Equal products and exact
+    1.0 coefficients are then common."""
+    n = draw(st.integers(1, 4))
+    randoms = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                            min_size=1, max_size=3))
+    splits = [s for s in ([1.0], [0.5, 0.5], [0.5, 0.25, 0.25], [0.25] * 4,
+                          *([r, 1.0 - r] for r in randoms)) if len(s) <= n]
+    zeros = [0.0, -0.0] + [-draw(st.floats(0.0, ROUNDING_TOL)) for _ in range(2)]
+    p = np.empty((n, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            row = np.array(draw(st.lists(st.sampled_from(zeros), min_size=n, max_size=n)))
+            split = draw(st.sampled_from(splits))
+            row[draw(st.permutations(range(n)))[:len(split)]] = split
+            p[i, j] = p[j, i] = row
+    return ReducedQso(n, p)
+
+
+def assert_same_orbit_bytes(q, y0, max_iters, tol, stride):
     # negative coefficients can drive an orbit off the simplex to inf and NaN,
     # which must match too, so every float is compared by its bytes
-    y0 = data.draw(start_with_zeros(q.n))
     with np.errstate(all="ignore"):
         traj = iterate(q, ReducedDistribution(y0), max_iters=max_iters, tol=tol,
                        stride=stride)
@@ -381,6 +412,21 @@ def test_scalar_step_iterate_matches_per_step_loop_bitwise(data, q, max_iters, s
     assert np.array_equal(traj.indices, indices)
     assert (traj.iterations, traj.converged) == (k, converged)
     assert np.float64(traj.final_residual).tobytes() == np.float64(residual).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), q=signed_zero_qso(), max_iters=st.integers(0, 1100),
+       stride=st.integers(1, 40), tol=st.sampled_from([1e-300, 1e-12, 1e-6]))
+def test_scalar_step_iterate_matches_per_step_loop_bitwise(data, q, max_iters, stride, tol):
+    assert_same_orbit_bytes(q, data.draw(start_with_zeros(q.n)), max_iters, tol, stride)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), q=pooled_coefficient_qso(), max_iters=st.integers(0, 1100),
+       stride=st.integers(1, 40), tol=st.sampled_from([1e-300, 1e-12, 1e-6]))
+def test_scalar_step_with_repeated_coefficients_matches_per_step_loop_bitwise(
+        data, q, max_iters, stride, tol):
+    assert_same_orbit_bytes(q, data.draw(start_with_zeros(q.n)), max_iters, tol, stride)
 
 
 def test_scalar_step_leaves_a_zero_total_to_einsum():
@@ -397,7 +443,8 @@ def test_scalar_step_leaves_a_zero_total_to_einsum():
 
 
 SENTINEL = -7.25  # a value no step writes here
-BLOCK_CASES = {name: SMALL_CASES[name] for name in ("cyclic", "trait-0.2499", "rh", "abo")}
+BLOCK_CASES = {name: SMALL_CASES[name] for name in ("cyclic", "trait-0.2499", "rh", "abo",
+                                                   "mendelian-2", "mendelian-4", "multi-3")}
 BLOCK_CASES["random-1"] = (lambda: random_symmetric_qso(rng(1), 1), [1.0])
 
 
@@ -427,6 +474,22 @@ def test_scalar_block_declines_a_zero_total_and_writes_nothing():
         before = buf.tobytes()
         assert block(buf, b) is False
         assert buf.tobytes() == before
+
+
+@pytest.mark.parametrize("name,inline,most", [
+    # a step computes each shared product once and multiplies nothing by 1.0
+    ("cyclic", 30, 12), ("mendelian-4", 72, 24), ("mendelian-2", 12, 6), ("multi-3", 30, 21),
+    # few repeated coefficients: no more than two multiplications a term, as before
+    ("rh", 16, 16), ("abo", 128, 128), ("trait-0.1", 12, 12), ("trait-0.2499", 12, 12),
+])
+def test_scalar_block_shares_repeated_products(name, inline, most):
+    q = SMALL_CASES[name][0]()
+    block = dynamics._scalar_block(q.n, q.p.tobytes())
+    # the block multiplies only in its step loop, so these are one step's
+    products = sum(ins.opname == "BINARY_OP" and ins.argrepr == "*"
+                   for ins in dis.get_instructions(block))
+    assert 2 * np.count_nonzero(q.p) == inline  # (c * y_i) * y_j for every term
+    assert products <= most
 
 
 @pytest.mark.parametrize("n,einsum_calls", [(2, 0), (3, 0), (4, 0), (5, 17), (6, 17)])
@@ -599,6 +662,19 @@ def counting_c_einsum(monkeypatch):
 
     monkeypatch.setattr(operators, "_einsum", counting)
     return calls
+
+
+def test_reduced_step_without_a_table_is_one_einsum_call(monkeypatch):
+    q = qso.rh_model()[0]
+    y = np.array([0.3, 0.7])
+    expected = np.einsum("ijk,i,j->k", q.p, y, y)
+    built = []
+    monkeypatch.setattr(operators, "_stepper", built.append)
+    calls = counting_c_einsum(monkeypatch)
+    for _ in range(3):
+        assert operators.reduced_step(q, y).tobytes() == expected.tobytes()
+    assert q._table is None
+    assert calls == ["ijk,i,j->k"] * 3 and built == []  # no step built per call
 
 
 SPARSE_CASES = [(24, 0.02, 801), (40, 0.05, 802), (64, 0.05, 803), (96, 0.03, 804)]
