@@ -77,11 +77,23 @@ def random_regular_qso(gen: np.random.Generator, n: int) -> ReducedQso:
 def cyclic_shift_operator(n=3):
     """QSO acting as the coordinate shift y'_k = y_{k-1}: a valid symmetric
     stochastic tensor whose non-symmetric orbits cycle forever."""
+    return permutation_operator((n,))
+
+
+def permutation_operator(cycles):
+    """QSO that permutes the coordinates by disjoint cycles of these lengths,
+    each over consecutive types: p[i, j, s(i)] and p[i, j, s(j)] get 1/2
+    each, with s(t) the next type of t's cycle.  An orbit off the symmetric
+    points cycles with the lcm of the lengths as its period."""
+    succ = []
+    for length in cycles:
+        succ += [len(succ) + (t + 1) % length for t in range(length)]
+    n = len(succ)
     p = np.zeros((n, n, n))
     for i in range(n):
         for j in range(n):
-            p[i, j, (i + 1) % n] += 0.5
-            p[i, j, (j + 1) % n] += 0.5
+            p[i, j, succ[i]] += 0.5
+            p[i, j, succ[j]] += 0.5
     return ReducedQso(n, p)
 
 

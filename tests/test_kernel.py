@@ -28,7 +28,7 @@ from qso import dynamics, operators
 from qso.dynamics import find_fixed_point, iterate
 from qso.operators import ROUNDING_TOL
 
-from helpers import cyclic_shift_operator, random_simplex, rng
+from helpers import cyclic_shift_operator, permutation_operator, random_simplex, rng
 
 
 def per_step_orbit(q, y0, max_iters, tol, stride):
@@ -806,3 +806,119 @@ def test_find_fixed_point_matches_per_step_loop_on_mendelian_128(monkeypatch, me
     assert np.array_equal(report.point.values, points[-1])
     # the orbit takes the sparse path; the only einsum left is the Jacobian's
     assert calls == ["ijk,j->ki"]
+
+
+# A bitwise-periodic orbit is tiled, not stepped: once a block holds a row
+# equal byte for byte to the block's first, the kernel repeats that period
+# for the rest of the budget.  Each case names two equal rows of the
+# per-step loop's orbit, and the oracle confirms them.
+
+def nan_operator():
+    """The two-type operator with p[0,0,0] = p[0,1,1] = p[1,0,1] = p[1,1,1] = 1.
+    From a start just off the simplex its coordinates run apart until they
+    overflow, and from then on every row is NaN."""
+    p = np.zeros((2, 2, 2))
+    p[0, 0, 0] = p[0, 1, 1] = p[1, 0, 1] = p[1, 1, 1] = 1.0
+    return ReducedQso(2, p)
+
+
+PERIODIC_CASES = {
+    # operator, start, tol, two equal rows (their distance is the period), and
+    # budgets that end mid-period or on a period boundary
+    "cyclic": (cyclic_shift_operator, [0.5, 0.3, 0.2], 1e-12, (4, 7),
+               (2000, 2001, 2002, 5000)),
+    "abo": (lambda: qso.abo_model()[0], [0.25] * 4, 1e-300, (352, 354),
+            (400, 2048, 2049, 5000)),
+    # a period whose steps differ in their last bits, so they must keep their phase
+    "shift-4": (lambda: cyclic_shift_operator(4), random_simplex(rng(901), 4), 1e-12, (19, 27),
+                (2000, 2003, 2006, 5000)),
+    "nan": (nan_operator, [1.000000000001, -1e-12], 1e-12, (48, 49), (49, 1100, 2500)),
+    # a period longer than a block: no block finds it, so it is stepped
+    "permutation": (lambda: permutation_operator((4, 5, 7, 9)), np.arange(1.0, 26.0) / 325.0,
+                    1e-300, (3098, 4358), (4358, 4999)),
+}
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10**6])
+@pytest.mark.parametrize("name", sorted(PERIODIC_CASES))
+def test_periodic_orbit_matches_per_step_loop(name, stride):
+    make, y0, tol, _, budgets = PERIODIC_CASES[name]
+    q = make()
+    for max_iters in budgets:
+        assert_same_orbit_bytes(q, y0, max_iters, tol, stride)
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC_CASES))
+def test_periodic_orbit_blocks_match_per_step_loop(name):
+    make, y0, tol, (first, repeat), budgets = PERIODIC_CASES[name]
+    q = make()
+    with np.errstate(all="ignore"):
+        expected, _, _, k, _ = per_step_orbit(q, y0, max(budgets), tol, 1)
+        points, k_blocks, converged = collect_orbit(q, y0, max(budgets), tol)
+        sizes = np.concatenate([s for _, s in dynamics._orbit(q, y0, max(budgets), tol)])
+        expected_sizes = np.abs(np.diff(expected, axis=0)).sum(axis=1)
+    assert expected[first].tobytes() == expected[repeat].tobytes()
+    assert points.tobytes() == expected.tobytes()
+    assert sizes.tobytes() == expected_sizes.tobytes()  # tiled in the rows' phase
+    assert (k_blocks, converged) == (k, False) == (max(budgets), False)
+
+
+def counting_scalar_block(monkeypatch):
+    """The ``b`` of every call of a scalar block made from now on."""
+    computed = []
+    make = dynamics._scalar_block
+
+    def counting_make(n, coefficients):
+        block = make(n, coefficients)
+
+        def counting(buf, b):
+            computed.append(b)
+            return block(buf, b)
+        return counting
+
+    monkeypatch.setattr(dynamics, "_scalar_block", counting_make)
+    return computed
+
+
+@pytest.mark.parametrize("name", ["cyclic", "abo", "nan"])
+def test_periodic_orbit_steps_only_until_a_block_finds_its_period(monkeypatch, name):
+    # NaN rows are equal by their bytes, though not as numbers
+    make, y0, _, (first, repeat), _ = PERIODIC_CASES[name]
+    q = make()
+    with np.errstate(all="ignore"):
+        expected = per_step_orbit(q, y0, repeat, 1e-300, 1)[0]
+    computed = counting_scalar_block(monkeypatch)  # a block left to einsum counts too
+    with np.errstate(all="ignore"):
+        traj = iterate(q, ReducedDistribution(y0), max_iters=10**6, tol=1e-300)
+    assert (traj.iterations, traj.converged) == (10**6, False)
+    assert sum(computed) < 2048
+    last = first + (10**6 - first) % (repeat - first)  # the row with the last one's phase
+    assert traj.points[-1].tobytes() == expected[last].tobytes()
+
+
+def test_period_longer_than_a_block_is_stepped(monkeypatch):
+    make, y0, tol, _, budgets = PERIODIC_CASES["permutation"]
+    q = make()
+    steps = []
+    make_step = dynamics._stepper
+
+    def counting_stepper(q):
+        step = make_step(q)
+        return lambda y, out: steps.append(1) or step(y, out)
+
+    monkeypatch.setattr(dynamics, "_stepper", counting_stepper)
+    traj = iterate(q, ReducedDistribution(y0), max_iters=max(budgets), tol=tol)
+    assert q._table is not None  # the sparse table's path
+    assert traj.iterations == len(steps) == max(budgets)
+
+
+def test_find_fixed_point_spends_its_budget_on_a_periodic_orbit():
+    # without the polish: from the orbit, Newton finds the shift's fixed centre
+    q = cyclic_shift_operator()
+    start = ReducedDistribution([0.5, 0.3, 0.2])
+    expected = per_step_orbit(q, start.values, 5000, 1e-12, 1)[0]
+    for max_iters, row in ((5000, 5000), (10**6, 4 + (10**6 - 4) % 3)):
+        with pytest.raises(qso.errors.NoConvergence) as exc:
+            find_fixed_point(q, start, max_iters=max_iters, refine=False)
+        assert exc.value.report.iterations == max_iters
+        assert exc.value.report.point.values.tobytes() == expected[row].tobytes()
