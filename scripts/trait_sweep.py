@@ -29,6 +29,8 @@ def main():
     parser.add_argument("--starts", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.starts < 1:
+        parser.error("--starts must be at least 1")
     gen = np.random.Generator(np.random.PCG64(args.seed))
     print(f"{'alpha':>6}  {'regime':<16} {'observed limit':<22} "
           f"{'iters':>6}  conjugacy")

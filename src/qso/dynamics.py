@@ -64,24 +64,9 @@ than the spread between rounds, so the cutoff stays at 4:
     scalar   0.41  1.00  2.11  3.97  15.4
     einsum   4.05  4.25  4.30  4.40  5.48
 
-A product that repeats is computed once per step.  Mendelian coefficients
-are Mendel's fractions 1, 1/2 and 1/4, so one head ``c * y_i`` serves
-several terms and one term ``(c * y_i) * y_j`` several children.  A head
-that two or more distinct terms use, and a term that two or more children
-use, becomes a local computed at the top of the step; a coefficient of
-1.0 multiplies nothing.  The bits stay the same: a shared product is the
-same IEEE operation on the same operands, ``1.0 * x`` is ``x`` for every
-double (-0.0, inf and NaN too), and each sum keeps its leading 0.0, its
-terms and their order.  Products used once stay inline, so a dense
-operator keeps its operations (naming every product made ABO slower).
-Multiplications and microseconds per step, before and after (best of 15
-rounds of 40 1024-step blocks, one x86-64 core):
-
-    operator              products    scalar step
-    cyclic shift, n = 3   30 -> 12    0.65 -> 0.52
-    Mendelian, n = 4      72 -> 24    1.25 -> 0.88
-    multi-allele, n = 3   30 -> 21    0.61 -> 0.59
-    ABO, n = 4           128 -> 126   1.96 -> 1.95
+A coefficient of 1.0 multiplies nothing (``1.0 * x`` is ``x`` for every
+double), and every other coefficient is written into the code as a literal
+that reads back as the same double.
 
 Larger operators take the step of ``operators._stepper``, which
 ``reduced_step`` and so the Newton polish share: einsum, or for a
@@ -101,7 +86,6 @@ neutral rather than attracting.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -194,61 +178,37 @@ def _scalar_block(n: int, coefficients: bytes):
     is zero it returns False and writes nothing: Python raises there, where
     NumPy's division gives the inf or NaN row the einsum step keeps.
 
-    Each distinct nonzero coefficient is one closure variable, never
-    written into the source.  A head ``c * y_i`` that two or more distinct
-    terms use, and a term ``(c * y_i) * y_j`` that two or more children
-    use, is computed once at the top of each step into a local; the rest
-    stay inline, and a coefficient of 1.0 multiplies nothing.  Every
-    multiplication in ``block`` is one of a step's.  Cached: compiling
-    takes about 0.15-0.17 ms at n = 2, 0.36-0.53 ms at n = 4."""
+    Each child is one expression, ``0.0 + c * y_i * y_j + ...`` over the
+    nonzero coefficients in ``(i, j)`` C order, with each ``c`` written as
+    its ``repr``, which reads back as the same double, and ``y_i * y_j``
+    for a coefficient of 1.0.  Cached: compiling takes about 0.12-0.15 ms
+    at n = 2 and 0.26-0.45 ms at n = 4 (best of 100, one x86-64 core)."""
     p = np.frombuffer(coefficients).reshape(n, n, n)
-    children = [[(float(p[i, j, k]), i, j) for i in range(n) for j in range(n)
-                 if p[i, j, k] != 0.0] for k in range(n)]
-    term_uses = Counter(term for child in children for term in child)
-    head_uses = Counter((c, i) for c, i, _ in term_uses if c != 1.0)
-    consts = {}   # coefficient value -> its closure variable
-    shared = {}   # a head (c, i) or term (c, i, j) used twice or more -> its local
-    prelude = []  # their assignments, each after those it reads
 
-    def product(key, expr, uses):
-        if uses < 2:
-            return expr
-        if key not in shared:
-            shared[key] = f"m{len(shared)}"
-            prelude.append(f"                {shared[key]} = {expr}")
-        return shared[key]
+    def term(i, j, k):
+        c = float(p[i, j, k])
+        return f"y{i} * y{j}" if c == 1.0 else f"{c!r} * y{i} * y{j}"
 
-    def head(c, i):
-        if c == 1.0:
-            return f"y{i}"  # 1.0 * y_i is y_i, bit for bit
-        return product((c, i), f"{consts.setdefault(c, f'c{len(consts)}')} * y{i}",
-                       head_uses[c, i])
-
-    def term(c, i, j):
-        return product((c, i, j), f"{head(c, i)} * y{j}", term_uses[c, i, j])
-
-    sums = [f"                o{k} = {' + '.join(['0.0', *(term(*t) for t in child)])}"
-            for k, child in enumerate(children)]
+    sums = [" + ".join(["0.0", *(term(i, j, k) for i in range(n) for j in range(n)
+                                 if p[i, j, k] != 0.0)]) for k in range(n)]
     coords = ", ".join(f"y{i}" for i in range(n))
-    lines = [f"        {coords}, = buf[0].tolist()",
-             "        rows = []",
-             "        extend = rows.extend",
-             "        try:",
-             "            for _ in range(b):",
-             *prelude,
-             *sums,
-             f"                s = {' + '.join(f'o{k}' for k in range(n))}",
-             *(f"                y{k} = o{k} / s" for k in range(n)),
-             f"                extend(({coords},))",
-             "        except ZeroDivisionError:",
-             "            return False",
-             "        buf[1:b + 1].reshape(-1)[:] = rows",
-             "        return True"]
-    source = "\n".join([f"def make({', '.join(consts.values())}):",
-                        "    def block(buf, b):", *lines, "    return block"])
+    lines = ["def block(buf, b):",
+             f"    {coords}, = buf[0].tolist()",
+             "    rows = []",
+             "    extend = rows.extend",
+             "    try:",
+             "        for _ in range(b):",
+             *(f"            o{k} = {s}" for k, s in enumerate(sums)),
+             f"            s = {' + '.join(f'o{k}' for k in range(n))}",
+             *(f"            y{k} = o{k} / s" for k in range(n)),
+             f"            extend(({coords},))",
+             "    except ZeroDivisionError:",
+             "        return False",
+             "    buf[1:b + 1].reshape(-1)[:] = rows",
+             "    return True"]
     namespace = {}
-    exec(compile(source, f"<qso scalar block, n = {n}>", "exec"), namespace)
-    return namespace["make"](*consts)
+    exec(compile("\n".join(lines), f"<qso scalar block, n = {n}>", "exec"), namespace)
+    return namespace["block"]
 
 
 def _orbit(q: ReducedQso, y0: np.ndarray, max_iters: int, tol: float):

@@ -145,7 +145,10 @@ def _parse_space(spec: str, line_no: int) -> GenotypeSpace:
         if any(not a for a in labels):
             raise SchemaError(f"line {line_no}: empty allele label in space spec {spec!r}")
         components.append(labels)
-    return build_space(components)
+    try:
+        return build_space(components)
+    except QsoError as exc:
+        raise SchemaError(f"line {line_no}: {exc}") from exc
 
 
 def _split_lines(text: str) -> list[str]:

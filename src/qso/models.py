@@ -83,9 +83,9 @@ def multi_allele(alphas) -> ReducedQso:
     arr = np.asarray(alphas, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need at least two trait weights")
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):  # so NaN fails too
         raise NonPositiveAlpha(f"weights must be strictly positive, got {arr.tolist()}")
-    if abs(arr.sum() - 0.5) > MASS_TOL:
+    if not abs(arr.sum() - 0.5) <= MASS_TOL:
         raise BadSum(f"weights must sum to 1/2, got {arr.sum()}")
     n = arr.size
     p = np.zeros((n, n, n))

@@ -399,6 +399,15 @@ def test_schema_errors(tmp_path):
         load_measure_family(write_family(tmp_path, body))
 
 
+@pytest.mark.parametrize("reader,header", [(read_measure_family, "value"),
+                                           (load_counts, "count")])
+def test_space_that_repeats_an_allele_is_a_schema_error_with_its_line(tmp_path, reader, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# space: +,+\nmother,father,child_gender,child_type,{header}\n")
+    with pytest.raises(SchemaError, match=r"^line 1: component 0 repeats an allele label"):
+        reader(path)
+
+
 def test_non_contiguous_pair_rows_rejected(tmp_path):
     lines = FULL_BODY_TEMPLATE.format(v00="0.4925", v01="0.0075").splitlines()
     # move one (+,+) row to the end, after other pairs have started

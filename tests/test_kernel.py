@@ -443,9 +443,13 @@ def test_scalar_step_leaves_a_zero_total_to_einsum():
 
 
 SENTINEL = -7.25  # a value no step writes here
-BLOCK_CASES = {name: SMALL_CASES[name] for name in ("cyclic", "trait-0.2499", "rh", "abo",
-                                                   "mendelian-2", "mendelian-4", "multi-3")}
+BLOCK_CASES = {name: SMALL_CASES[name] for name in ("cyclic", "trait-0.1", "trait-0.2499", "rh",
+                                                   "abo", "mendelian-2", "mendelian-4", "multi-3")}
 BLOCK_CASES["random-1"] = (lambda: random_symmetric_qso(rng(1), 1), [1.0])
+# a subnormal and a tiny negative coefficient, written into the block as literals
+BLOCK_CASES["literals"] = (lambda: ReducedQso(2, np.array([[[1.0, 5e-324], [0.5, 0.5]],
+                                                           [[0.5, 0.5], [-1e-13, 1.0 + 1e-13]]])),
+                           [0.3, 0.7])
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
@@ -476,20 +480,15 @@ def test_scalar_block_declines_a_zero_total_and_writes_nothing():
         assert buf.tobytes() == before
 
 
-@pytest.mark.parametrize("name,inline,most", [
-    # a step computes each shared product once and multiplies nothing by 1.0
-    ("cyclic", 30, 12), ("mendelian-4", 72, 24), ("mendelian-2", 12, 6), ("multi-3", 30, 21),
-    # few repeated coefficients: no more than two multiplications a term, as before
-    ("rh", 16, 16), ("abo", 128, 128), ("trait-0.1", 12, 12), ("trait-0.2499", 12, 12),
-])
-def test_scalar_block_shares_repeated_products(name, inline, most):
-    q = SMALL_CASES[name][0]()
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_scalar_block_multiplies_twice_per_term_but_never_by_one(name):
+    q = BLOCK_CASES[name][0]()
     block = dynamics._scalar_block(q.n, q.p.tobytes())
-    # the block multiplies only in its step loop, so these are one step's
+    # the block multiplies only in its step loop, so these are one step's:
+    # (c * y_i) * y_j for every nonzero coefficient, y_i * y_j where c is 1.0
     products = sum(ins.opname == "BINARY_OP" and ins.argrepr == "*"
                    for ins in dis.get_instructions(block))
-    assert 2 * np.count_nonzero(q.p) == inline  # (c * y_i) * y_j for every term
-    assert products <= most
+    assert products == 2 * np.count_nonzero(q.p) - np.count_nonzero(q.p == 1.0)
 
 
 @pytest.mark.parametrize("n,einsum_calls", [(2, 0), (3, 0), (4, 0), (5, 17), (6, 17)])

@@ -131,6 +131,10 @@ def test_multi_allele_validation():
         qso.multi_allele([0.5, 0.0])
     with pytest.raises(NonPositiveAlpha):
         qso.multi_allele([0.6, -0.1])
+    with pytest.raises(NonPositiveAlpha):
+        qso.multi_allele([float("nan"), 0.5])
+    with pytest.raises(NonPositiveAlpha):
+        qso.multi_allele([0.25, 0.25, float("nan")])
     with pytest.raises(BadSum):
         qso.multi_allele([0.3, 0.3])
     with pytest.raises(ValueError):
