@@ -31,10 +31,17 @@ def main():
     args = parser.parse_args()
     if args.starts < 1:
         parser.error("--starts must be at least 1")
+    try:
+        alphas = [float(a) for a in args.alphas.split(",")]
+    except ValueError:
+        parser.error(f"--alphas must be comma-separated numbers, got {args.alphas!r}")
+    for alpha in alphas:
+        if not 0.0 < alpha < 0.5:
+            parser.error(f"each alpha must lie in (0, 1/2), got {alpha}")
     gen = np.random.Generator(np.random.PCG64(args.seed))
     print(f"{'alpha':>6}  {'regime':<16} {'observed limit':<22} "
           f"{'iters':>6}  conjugacy")
-    for alpha in (float(a) for a in args.alphas.split(",")):
+    for alpha in alphas:
         q = mendelian_trait(alpha)
         regime = analyze_f_alpha(alpha).regime
         limits, iters = [], 0

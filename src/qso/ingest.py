@@ -17,9 +17,16 @@ completely missing parent pair is an error.  ``save_counts`` runs the
 reader over the text it is about to write, so it cannot write a table
 that ``load_counts`` rejects or reads back differently.
 
-A table is read in one pass: each row is split once, its labels are looked
-up in the space's ``label_table`` and it is checked as it is read, so the
-first faulty line is the one reported.  Malformed files raise a
+A table's rows are read by a fast loop that takes only rows of the exact
+form ``label,label,gender,label,value`` with labels from the space's own
+``label_table``: it carries the current ``mother,father,`` prefix, looks the
+rest of the row up whole and parses the value with ``float``.  The cells
+and values are then checked as arrays (finite, non-negative counts, no
+repeated cell, one run per parent pair).  A file with any other row (padded
+fields, a comment or blank line mid-body, a bad label or value) or a failed
+check is read again line by line, checking each row as it is read, so the
+result and the first faulty line reported are those of the per-line loop
+alone.  Malformed files raise a
 ``QsoError``: ``ParseError`` with the line and column of a byte that is
 not UTF-8 or of a value that is not a finite number, ``SchemaError`` for
 a structural fault (header, field count, label, repeated or split rows).
@@ -194,23 +201,12 @@ def _check_labels(space: GenotypeSpace, mother: str, father: str, gender: str,
     space.trait_index_of_label(child)
 
 
-def _parse_table(lines: list[str], expected_header: str, nonnegative: bool = False):
-    """Parse a table in one pass over its lines.
-
-    Returns ``(space, cells, values)``: the declared space, and the flat
-    index ``(i * m + j) * total + s`` and the value of every data row in
-    file order.  Each row is checked as it is read (field count, labels, a
-    finite value, non-negative when ``nonnegative``, no repeated cell,
-    contiguous parent pairs), so the first faulty line is the one reported.
-    """
+def _read_head(lines: list[str], expected_header: str) -> tuple[GenotypeSpace, int]:
+    """Parse the ``# space:`` line and the header; return the space and the
+    index of the first line after the header."""
     space = None
-    header_seen = False
-    cells = []
-    values = []
-    seen_cells: set[int] = set()
-    pairs: set[int] = set()
-    current = None
-    for line_no, line in enumerate(lines, start=1):
+    for k, line in enumerate(lines):
+        line_no = k + 1
         stripped = line.strip()
         if not stripped:
             continue
@@ -221,17 +217,39 @@ def _parse_table(lines: list[str], expected_header: str, nonnegative: bool = Fal
                     raise SchemaError(f"line {line_no}: duplicate space declaration")
                 space = _parse_space(body[len("space:"):].strip(), line_no)
             continue
-        if not header_seen:
-            if stripped != expected_header:
-                raise SchemaError(
-                    f"line {line_no}: expected header {expected_header!r}, got {stripped!r}"
-                )
-            if space is None:
-                raise SchemaError("missing '# space:' declaration before header")
-            header_seen = True
-            m, total = space.m, space.total
-            _, index = space.label_table
-            offsets = {gender: g * m for g, gender in enumerate(GENDERS)}
+        if stripped != expected_header:
+            raise SchemaError(
+                f"line {line_no}: expected header {expected_header!r}, got {stripped!r}"
+            )
+        if space is None:
+            raise SchemaError("missing '# space:' declaration before header")
+        return space, k + 1
+    raise SchemaError("file has no header row")
+
+
+def _parse_rows(space: GenotypeSpace, lines: list[str], start: int, nonnegative: bool):
+    """Parse the data rows from ``lines[start]`` on, one line at a time.
+
+    Each row is checked as it is read (field count, labels, a finite value,
+    non-negative when ``nonnegative``, no repeated cell, contiguous parent
+    pairs), so the first faulty line is the one reported.
+    """
+    m, total = space.m, space.total
+    _, index = space.label_table
+    offsets = {gender: g * m for g, gender in enumerate(GENDERS)}
+    cells = []
+    values = []
+    seen_cells: set[int] = set()
+    pairs: set[int] = set()
+    current = None
+    for line_no, line in enumerate(lines[start:], start=start + 1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            body = stripped[1:].strip()
+            if body.startswith("space:"):
+                raise SchemaError(f"line {line_no}: duplicate space declaration")
             continue
         fields = stripped.split(",")
         if len(fields) != 5:
@@ -271,9 +289,66 @@ def _parse_table(lines: list[str], expected_header: str, nonnegative: bool = Fal
             current = pair
         cells.append(cell)
         values.append(v)
-    if not header_seen:
-        raise SchemaError("file has no header row")
-    return space, cells, values
+    return cells, values
+
+
+def _fast_rows(space: GenotypeSpace, lines: list[str], start: int, nonnegative: bool):
+    """Parse rows of the exact form ``label,label,gender,label,value``.
+
+    Returns ``(cells, values)`` as ``_parse_rows`` does, or None for any
+    file whose rows it cannot take exactly: a missed label or child key
+    (padding, a wrong field count, an unknown or ambiguous label), a blank
+    or comment line before the trailing blank lines, a value ``float``
+    rejects, or a row that fails the whole-file checks.
+    """
+    m, total = space.m, space.total
+    _, index = space.label_table
+    if any(label.startswith("#") for label in index):
+        return None  # such a row reads as a comment
+    children = {f"{gender},{label}": g * m + t
+                for g, gender in enumerate(GENDERS) for label, t in index.items()}
+    end = len(lines)
+    while end > start and not lines[end - 1]:
+        end -= 1
+    cells = []
+    values = []
+    runs = []
+    prefix = "\n"  # no line holds a newline, so the first row sets the pair
+    try:
+        for line in lines[start:end]:
+            if not line.startswith(prefix):
+                mother, father, _ = line.split(",", 2)
+                pair = index[mother] * m + index[father]
+                runs.append(pair)
+                prefix = f"{mother},{father},"
+                cut = len(prefix)
+                base = pair * total
+            child, _, value = line[cut:].rpartition(",")
+            cells.append(base + children[child])
+            values.append(float(value))
+    except (KeyError, ValueError):
+        return None
+    v = np.array(values)
+    if (not np.isfinite(v).all() or (nonnegative and (v < 0).any())
+            or len(set(runs)) != len(runs)
+            or (cells and np.bincount(cells).max() > 1)):
+        return None
+    return cells, values
+
+
+def _parse_table(lines: list[str], expected_header: str, nonnegative: bool = False):
+    """Parse a table: its space line and header, then its data rows.
+
+    Returns ``(space, cells, values)``: the declared space, and the flat
+    index ``(i * m + j) * total + s`` and the value of every data row in
+    file order.  The rows go through ``_fast_rows``; a file it declines is
+    read again by ``_parse_rows``, which reports the first faulty line.
+    """
+    space, start = _read_head(lines, expected_header)
+    rows = _fast_rows(space, lines, start, nonnegative)
+    if rows is None:
+        rows = _parse_rows(space, lines, start, nonnegative)
+    return (space, *rows)
 
 
 def load_counts(path) -> CountsTable:

@@ -16,6 +16,13 @@ oracles accept the first and raise ``UnicodeDecodeError`` on the second),
 and a file with several faults now reports its earliest faulty line,
 where the oracles reported every line's field-count error before any label
 error and non-contiguous parent pairs after every other row check.
+
+The reader now takes canonical rows through a fast loop with whole-file
+checks, and re-reads any other file with its per-line loop. A Hypothesis
+property mutates canonical files (padding, odd values, comments, repeated
+or split rows, wrong fields, odd labels, CRLF) and requires ``_parse_table``
+to return the per-line loop's result or raise its error; a work guard
+requires canonical files to load without the per-line loop.
 """
 
 import itertools
@@ -24,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qso
 from qso import (
@@ -32,8 +41,11 @@ from qso import (
     MeasureFamily,
     build_space,
     estimate_measures,
+    ingest,
     load_counts,
+    load_measure_family,
     read_measure_family,
+    save_counts,
     save_measure_family,
 )
 from qso.errors import (
@@ -551,3 +563,121 @@ def test_split_pair_is_reported_at_the_row_that_returns(tmp_path):
         "line 13: duplicate row for pair (1, 1), child 2")
     assert outcome(load_counts, path)[1] == (
         "rows for parent pair (0, 1) are not contiguous")
+
+
+# --- the fast row loop against the per-line loop --------------------------------------
+
+def per_line_outcome(lines, header, nonnegative):
+    """``_parse_table``'s result or error when every row goes through the
+    per-line loop."""
+    try:
+        space, start = ingest._read_head(lines, header)
+        return table_outcome(space, *ingest._parse_rows(space, lines, start, nonnegative))
+    except QsoError as exc:
+        return error_outcome(exc)
+
+
+def parse_outcome(lines, header, nonnegative):
+    try:
+        return table_outcome(*ingest._parse_table(lines, header, nonnegative))
+    except QsoError as exc:
+        return error_outcome(exc)
+
+
+def table_outcome(space, cells, values):
+    # repr tells -0.0 from 0.0
+    return space, cells, [repr(v) for v in values]
+
+
+def error_outcome(exc):
+    return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+# a space whose allele holds a pipe (its labels never resolve), and one whose
+# label starts with '#' (its rows read as comments)
+ODD_SPACES = {"pipe-allele": [["+", "x|y"]], "hash-allele": [["#", "+"]]}
+
+ROW_MUTATION = st.tuples(
+    st.sampled_from(["pad", "tab", "lead", "value-space", "value", "comment", "blank",
+                     "repeat", "split", "six-fields", "bad-gender"]),
+    st.integers(0, 10**6),
+    st.sampled_from(["1_0", "-0.0", "nan", "1e400", "-1"]),
+)
+
+
+def mutate_rows(text, mutations):
+    """Apply row-level faults and oddities to a canonical table's body."""
+    lines = text.split("\n")[:-1]
+    head = next(k for k, line in enumerate(lines) if line in (COUNTS_HEADER, MEASURE_HEADER)) + 1
+    for kind, at, value in mutations:
+        if len(lines) == head:
+            break
+        k = head + at % (len(lines) - head)
+        fields = lines[k].split(",")
+        if kind == "pad" and len(fields) > 1:
+            lines[k] = ",".join(fields[:1] + [f" {fields[1]} "] + fields[2:])
+        elif kind == "tab":
+            lines[k] = lines[k] + "\t"
+        elif kind == "lead":
+            lines[k] = " " + lines[k]
+        elif kind == "value-space":
+            lines[k] = ",".join(fields[:-1] + [f" {fields[-1]}\t "])
+        elif kind == "value":
+            lines[k] = ",".join(fields[:-1] + [value])
+        elif kind in ("comment", "blank"):
+            lines.insert(k, "# a comment" if kind == "comment" else "")
+        elif kind == "repeat":
+            lines.insert(k, lines[k])
+        elif kind == "split":
+            lines.append(lines.pop(k))
+        elif kind == "six-fields":
+            lines[k] = lines[k] + ",4"
+        elif kind == "bad-gender" and len(fields) > 2:
+            lines[k] = ",".join(fields[:2] + ["x"] + fields[3:])
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["counts", "measure"]),
+       name=st.sampled_from(sorted(SPACES) + sorted(ODD_SPACES)),
+       seed=st.integers(0, 2**16),
+       mutations=st.lists(ROW_MUTATION, max_size=3),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_fast_rows_match_the_per_line_loop(kind, name, seed, mutations, newline):
+    components = {**SPACES, **ODD_SPACES}[name]
+    gen = rng(seed)
+    if kind == "counts":
+        header, nonnegative = COUNTS_HEADER, True
+        text = counts_text(gen, components, fractional=bool(seed % 2))
+    else:
+        header, nonnegative = MEASURE_HEADER, False
+        text = measure_text(gen, components)
+    text = newline.join(mutate_rows(text, mutations)) + newline
+    lines = ingest._split_lines(text)
+    assert parse_outcome(lines, header, nonnegative) == per_line_outcome(lines, header,
+                                                                         nonnegative)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_canonical_files_never_take_the_per_line_loop(tmp_path, monkeypatch, newline):
+    def per_line(*args):
+        raise AssertionError("a canonical file went through the per-line loop")
+
+    monkeypatch.setattr(ingest, "_parse_rows", per_line)
+    space = build_space(SPACES["mixed-3-2-2"])
+    assert space.m >= 6
+    gen = rng(18)
+    labels, _ = space.label_table
+    rows = tuple(CountRow(labels[i], labels[j], GENDERS[s // space.m], labels[s % space.m],
+                          float(gen.integers(0, 40)))
+                 for i in range(space.m) for j in range(space.m)
+                 for s in range(space.total) if gen.random() < 0.7)
+    counts = CountsTable(space, rows)
+    family = random_symmetric_family(gen, space)
+    save_counts(counts, tmp_path / "counts.csv")
+    save_measure_family(family, tmp_path / "family.csv")
+    for name in ("counts.csv", "family.csv"):
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    assert load_counts(tmp_path / "counts.csv") == counts
+    assert np.array_equal(load_measure_family(tmp_path / "family.csv").mu, family.mu)
