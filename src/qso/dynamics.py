@@ -86,6 +86,7 @@ neutral rather than attracting.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -275,6 +276,11 @@ def _check_solver_args(q: ReducedQso, y0: ReducedDistribution, tol: float, max_i
                        stride: int = 1) -> None:
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
+    for name, value in (("max_iters", max_iters), ("stride", stride)):
+        try:
+            operator.index(value)  # NumPy integers and bools pass; 1e3 and inf do not
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     if stride < 1:

@@ -16,6 +16,8 @@ parent pair must be contiguous; missing child rows count as zero; a
 completely missing parent pair is an error.  ``save_counts`` runs the
 reader over the text it is about to write, so it cannot write a table
 that ``load_counts`` rejects or reads back differently.
+``save_measure_family`` checks the space instead, before writing: its
+values are finite by construction, so only labels could read back wrong.
 
 A table's rows are read by a fast loop that takes only rows of the exact
 form ``label,label,gender,label,value`` with labels from the space's own
@@ -397,9 +399,37 @@ def load_measure_family(path, tol: float = TABLE_TOL) -> MeasureFamily:
     return family
 
 
+def _check_space_reads_back(space: GenotypeSpace) -> None:
+    """Raise ``ValueError`` unless a file of ``space`` reads back as ``space``.
+
+    Its ``# space:`` line must parse to it, every trait label must resolve
+    (an allele holding ``|`` makes its labels ambiguous), no allele may hold
+    a line break, and no row may start with ``#``, which reads as a comment.
+    """
+    try:
+        same = _parse_space(_format_space(space), 1) == space
+    except SchemaError:
+        same = False
+    faults = [
+        (not same, "its '# space:' line reads as another space"),
+        (len(space.label_table[1]) != space.m, "an allele holds '|'"),
+        (any("\r" in a or "\n" in a for comp in space.components for a in comp),
+         "an allele holds a line break"),
+        (any(a.startswith("#") for a in space.components[0]),
+         "a first-component allele starts with '#'"),
+    ]
+    for fault, reason in faults:
+        if fault:
+            raise ValueError(f"space {space.components!r} would not read back: {reason}")
+
+
 def save_measure_family(family: MeasureFamily, path) -> None:
-    """Write a measure family in canonical order; values round-trip exactly."""
+    """Write a measure family in canonical order; values round-trip exactly.
+
+    A space whose file would not read back as that space raises
+    ``ValueError`` before anything is written."""
     space = family.space
+    _check_space_reads_back(space)
     labels, _ = space.label_table
     children = [f"{gender},{label}" for gender in GENDERS for label in labels]
     complete = ~np.isnan(family.mu).any(axis=2)

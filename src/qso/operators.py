@@ -53,20 +53,18 @@ step on Mendelian operators (microseconds, one core, best of 5):
     sparse   147   871
     einsum   276   2153
 
-The table is built under a lock on an operator's first step, whoever takes
-it (2.2 ms at n = 64, 18.7 ms at n = 128), and kept as ``_table``, outside
-the dataclass fields and dropped by pickling, so it takes no part in
-``==``, ``repr`` or pickling.
+The table is built by the constructor (2.2 ms at n = 64, 18.7 ms at
+n = 128), and kept as ``_table``, outside the dataclass fields, so it takes
+no part in ``==`` or ``repr`` and pickles with the operator.
 
-All types are immutable after construction, apart from that cache, and all
-operations are pure; each step owns its scratch buffers, so everything here
-is safe to share across threads.
+All types are immutable after construction, and all operations are pure;
+each step owns its scratch buffers, so everything here is safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,7 +95,6 @@ _CHUNK_BYTES = 1 << 18   # coefficient bytes per chunk of the sparse step's tabl
 _SPARSE_MAX_FILL = 0.25  # largest share of n^3 the sparse step's table may fill
 _CHUNK_CELLS = 2048      # table cells that cost as much as one chunk's NumPy calls
 _einsum = np.einsum      # the quadratic step and dynamics.jacobian call it by this one name
-_TABLE_LOCK = threading.Lock()  # held while a ReducedQso's step table is built
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -525,10 +522,7 @@ class ReducedQso:
                 f"reduced tensor rows deviate from unit sum by {stoch}; "
                 "renormalize the source measures"
             )
-
-    def __getstate__(self):
-        # the step table (see _table) is rebuilt on the copy's first step
-        return {k: v for k, v in vars(self).items() if k != "_table"}
+        object.__setattr__(self, "_table", _sparse_table(arr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,7 +576,7 @@ def reduced_step(q: ReducedQso, y: np.ndarray) -> np.ndarray:
     """Raw quadratic-form step on a plain vector (no simplex validation)."""
     y = np.asarray(y, dtype=float)
     out = np.empty(q.n)
-    if _table(q) is None:  # one einsum call, with no step built for it
+    if q._table is None:  # one einsum call, with no step built for it
         _einsum("ijk,i,j->k", q.p, y, y, out=out)
     else:
         _stepper(q)(y, out)
@@ -624,26 +618,13 @@ def _sparse_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return coefs, pairs
 
 
-def _table(q: ReducedQso) -> tuple[np.ndarray, np.ndarray] | None:
-    """``q``'s sparse table, or None when it steps by einsum: built by the
-    first call for ``q`` and kept as ``q._table``."""
-    try:
-        return q._table
-    except AttributeError:
-        with _TABLE_LOCK:  # one build, also when threads race to take the first step
-            if "_table" not in vars(q):
-                object.__setattr__(q, "_table", _sparse_table(q.p))
-            return q._table
-
-
 def _stepper(q: ReducedQso):
     """``step(y, out)``: ``np.einsum("ijk,i,j->k", q.p, y, y, out=out)``,
-    from ``q``'s sparse table (see ``_table``) when it has one and every
-    entry of ``y`` is finite, bitwise equal either way (see the module
-    docstring).  The scratch buffers belong to this step alone, so each
+    from ``q``'s sparse table when it has one and every entry of ``y`` is
+    finite, bitwise equal either way (see the module docstring).  The scratch buffers belong to this step alone, so each
     caller, and each thread, steps through its own."""
     p = q.p
-    table = _table(q)
+    table = q._table
     if table is None:
         return lambda y, out: _einsum("ijk,i,j->k", p, y, y, out=out)
     coefs, pairs = table

@@ -148,6 +148,14 @@ def test_negative_budget_is_rejected(max_iters):
     (find_fixed_point, [0.2, 0.3, 0.5], {}, "start has 3 types, operator expects 2"),
     (iterate, [0.5, 0.5], {"tol": float("nan")}, "tol must be positive"),
     (find_fixed_point, [0.5, 0.5], {"tol": float("nan")}, "tol must be positive"),
+    (iterate, [0.5, 0.5], {"max_iters": 1e3}, "max_iters must be an integer, got 1000.0"),
+    (iterate, [0.5, 0.5], {"max_iters": float("inf")}, "max_iters must be an integer, got inf"),
+    (iterate, [0.5, 0.5], {"stride": 2.5}, "stride must be an integer, got 2.5"),
+    (iterate, [0.5, 0.5], {"stride": float("inf")}, "stride must be an integer, got inf"),
+    (find_fixed_point, [0.5, 0.5], {"max_iters": 100.0},
+     "max_iters must be an integer, got 100.0"),
+    (find_fixed_point, [0.5, 0.5], {"max_iters": float("inf")},
+     "max_iters must be an integer, got inf"),
 ])
 def test_solver_arguments_are_checked(solve, start, kwargs, message):
     q, _ = qso.rh_model()

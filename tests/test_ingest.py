@@ -297,6 +297,22 @@ def test_save_counts_refuses_a_table_that_reads_back_differently(tmp_path, mothe
     assert not path.exists()
 
 
+@pytest.mark.parametrize("components", [
+    [["a,b", "c"]],
+    [["a;b", "c"]],
+    [["a\nb", "c"]],
+    [["a|x", "b"], ["c", "d"]],
+    [[" a", "b"]],
+    [["#a", "b"]],
+])
+def test_save_measure_family_refuses_a_space_that_reads_back_differently(tmp_path,
+                                                                         components):
+    path = tmp_path / "family.csv"
+    with pytest.raises(ValueError, match="would not read back"):
+        save_measure_family(qso.MeasureFamily.uniform(build_space(components)), path)
+    assert not path.exists()
+
+
 def test_load_accepts_crlf(tmp_path):
     path = tmp_path / "family.csv"
     save_measure_family(qso.rh_measure_family(), path)

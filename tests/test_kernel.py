@@ -514,21 +514,25 @@ def test_reduced_qso_pickles_after_iterating(monkeypatch):
     cases = {name: SMALL_CASES[name] for name in ("rh", "abo", "cyclic")}
     cases["mendelian-64"] = (mendelian_operator, np.full(64, 1.0 / 64))
     for make, y0 in cases.values():
-        q = make()
         del builds[:]
+        q = make()
+        assert len(builds) == 1 and "_table" in vars(q)  # built by the constructor
         before = iterate(q, ReducedDistribution(y0), max_iters=50)
         qso.apply_reduced(q, ReducedDistribution(y0))
-        assert len(builds) == 1  # the first step looks for a table; later ones reuse it
         copy = pickle.loads(pickle.dumps(q))
-        assert copy.n == q.n and np.array_equal(copy.p, q.p)
-        assert "_table" not in vars(copy) and repr(copy) == repr(q)
+        assert copy.n == q.n and np.array_equal(copy.p, q.p) and repr(copy) == repr(q)
+        if q._table is None:
+            assert copy._table is None
+        else:
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                       for a, b in zip(copy._table, q._table))
         after = iterate(copy, ReducedDistribution(y0), max_iters=50)
         assert before.points.tobytes() == after.points.tobytes()
-        assert len(builds) == 2  # the copy has no table of its own until it steps
+        assert len(builds) == 1  # stepping and unpickling build nothing
     # q is now the Mendelian operator, which steps through its table
     assert q._table is not None
     find_fixed_point(q, ReducedDistribution(y0))
-    assert len(builds) == 2
+    assert len(builds) == 1
     gen = rng(830)
     rows = list(starts_with_signed_zeros(gen, q.n, 8))
     for bad in (np.nan, np.inf, -np.inf):
@@ -538,8 +542,8 @@ def test_reduced_qso_pickles_after_iterating(monkeypatch):
         for y in rows:
             expected = np.einsum("ijk,i,j->k", q.p, y, y)
             assert qso.operators.reduced_step(q, y).tobytes() == expected.tobytes()
-    assert len(builds) == 2
-    # the cached table does not keep its operator alive
+    assert len(builds) == 1
+    # the table does not keep its operator alive
     alive = weakref.ref(q)
     del q, copy
     gc.collect()
@@ -681,14 +685,14 @@ SPARSE_CASES = [(24, 0.02, 801), (40, 0.05, 802), (64, 0.05, 803), (96, 0.03, 80
 
 @pytest.mark.parametrize("n,density,seed", SPARSE_CASES + [(5, 0.2, 805), (8, 0.1, 806)])
 def test_sparse_step_matches_one_c_einsum_step(monkeypatch, n, density, seed):
+    if n < 24:
+        # too small to gain; the step is exact all the same
+        assert random_sparse_qso(rng(seed), n, density)._table is None
+        monkeypatch.setattr(operators, "_SPARSE_MAX_FILL", np.inf)
     gen = rng(seed)
     q = random_sparse_qso(gen, n, density)
     counts = np.count_nonzero(q.p, axis=(0, 1))
     assert counts.min() < counts.max()  # short columns are padded
-    if n < 24:
-        # too small to gain; the step is exact all the same
-        assert operators._sparse_table(q.p) is None
-        monkeypatch.setattr(operators, "_SPARSE_MAX_FILL", np.inf)
     step = operators._stepper(q)
     assert q._table is not None
     calls = counting_c_einsum(monkeypatch)
@@ -697,6 +701,18 @@ def test_sparse_step_matches_one_c_einsum_step(monkeypatch, n, density, seed):
         step(y, out)
         assert out.tobytes() == np.einsum("ijk,i,j->k", q.p, y, y).tobytes()
     assert calls == []  # every step took the table
+
+
+def test_operator_failing_its_checks_builds_no_table(monkeypatch):
+    q = random_sparse_qso(rng(803), 64, 0.05)
+    assert q._table is not None
+    p = np.array(q.p)
+    p[0, 1, 0] += 1e-3
+    builds = []
+    monkeypatch.setattr(operators, "_sparse_table", builds.append)
+    with pytest.raises(ValueError, match="not symmetric in parents"):
+        ReducedQso(64, p)
+    assert builds == []
 
 
 @pytest.mark.parametrize("n,density,seed", SPARSE_CASES)
@@ -780,13 +796,14 @@ def mendelian128():
 def test_sparse_table_build_stays_small_at_128_types(mendelian128):
     # the 16 MiB operator has 3^7 nonzero coefficients per child; the table
     # holds each as a float and a pair index, 4.3 MiB, plus 0.7 MiB of step
-    # buffers, and is built one 1 MiB slice of the operator at a time
+    # buffers, and the constructor's checks and table build walk the operator
+    # one 1 MiB slice at a time
     p = mendelian128.p
     assert (np.count_nonzero(p, axis=(0, 1)) == 3 ** 7).all()
-    fresh = ReducedQso(128, p)  # shares p, but not the fixture's cached table
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
+        fresh = ReducedQso(128, p)  # shares p, and builds its own table
         step = operators._stepper(fresh)
         held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
