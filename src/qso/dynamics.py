@@ -43,35 +43,13 @@ longer one is stepped as before, which is exact too.  Bytes tell -0.0 from
 0.0 and one NaN payload from another, so the check can miss a cycle but
 never invents one.
 
-Operators with at most ``_SCALAR_MAX_N`` = 4 types, which include every
-model of the paper (the trait operator and Rh have n = 2, ABO n = 4), step
-in plain Python floats instead: at that size a NumPy step is almost all
-call overhead.  A function generated once per coefficient array steps a
-whole block with the coordinates in local variables, then writes one flat
-list of rows into the buffer.  It repeats the einsum step's operations in
-their order, so it is exact too.  Einsum starts each child's sum at 0.0
-and adds ``(p[i,j,k] * y_i) * y_j`` over ``(i, j)`` in C order; a zero
-coefficient adds a signed zero to a sum that is never -0.0, so its term
-is skipped.  ``np.add.reduce`` sums fewer than 8 elements as a left fold,
-``(o0 + o1) + o2``.  Each child is then divided by that total, the same
-IEEE division.  A block with a zero total, where Python raises and NumPy
-gives inf or NaN, writes nothing and is left to the einsum step.  Per step
-in 1024-step blocks, dense random coefficients (microseconds, best of 45,
-Python 3.11, NumPy 2.4, one x86-64 core); at n = 5 the two differ by less
-than the spread between rounds, so the cutoff stays at 4:
-
-    n        2     3     4     5     8
-    scalar   0.41  1.00  2.11  3.97  15.4
-    einsum   4.05  4.25  4.30  4.40  5.48
-
-A coefficient of 1.0 multiplies nothing (``1.0 * x`` is ``x`` for every
-double), and every other coefficient is written into the code as a literal
-that reads back as the same double.
-
-Larger operators take the step of ``operators._stepper``, which
-``reduced_step`` and so the Newton polish share: einsum, or for a
+Each block is stepped by kernels that the operator's constructor built
+and holds (see ``operators``): its scalar block ``q._block``, which writes
+a whole block in Python floats, when it has at most 4 types; otherwise, or
+where that block declines a zero total, the step of ``operators._stepper``,
+which ``reduced_step`` and so the Newton polish share: einsum, or for a
 mostly-zero operator such as a Mendelian one its table of nonzero
-coefficients, built once per operator, with the same bits.
+coefficients.  All of them give einsum's bits.
 
 A matrix-form step ``(A @ y) @ y`` would be faster for large n, but it
 rounds differently by a few ulp, which shows in 12-digit output near a
@@ -88,7 +66,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -102,7 +79,6 @@ DEFAULT_MAX_ITERS = 1_000_000
 _NEWTON_STEPS = 60
 _BLOCK_MIN = 8        # steps in the first block and the fewest in any block
 _BLOCK_MAX = 1024     # most steps in one block
-_SCALAR_MAX_N = 4     # largest n stepped in Python floats rather than by einsum
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,48 +146,6 @@ def _next_block(size: int, tail: np.ndarray, tol: float) -> int:
     return min(max(size, _BLOCK_MIN), _BLOCK_MAX)
 
 
-@lru_cache(maxsize=64)
-def _scalar_block(n: int, coefficients: bytes):
-    """``block(buf, b)`` for the operator with these coefficient bytes: it
-    writes ``b`` renormalized quadratic steps from ``buf[0]`` into
-    ``buf[1:b + 1]`` in Python floats, with einsum's operations in einsum's
-    order (see the module docstring), and returns True.  If a step's total
-    is zero it returns False and writes nothing: Python raises there, where
-    NumPy's division gives the inf or NaN row the einsum step keeps.
-
-    Each child is one expression, ``0.0 + c * y_i * y_j + ...`` over the
-    nonzero coefficients in ``(i, j)`` C order, with each ``c`` written as
-    its ``repr``, which reads back as the same double, and ``y_i * y_j``
-    for a coefficient of 1.0.  Cached: compiling takes about 0.12-0.15 ms
-    at n = 2 and 0.26-0.45 ms at n = 4 (best of 100, one x86-64 core)."""
-    p = np.frombuffer(coefficients).reshape(n, n, n)
-
-    def term(i, j, k):
-        c = float(p[i, j, k])
-        return f"y{i} * y{j}" if c == 1.0 else f"{c!r} * y{i} * y{j}"
-
-    sums = [" + ".join(["0.0", *(term(i, j, k) for i in range(n) for j in range(n)
-                                 if p[i, j, k] != 0.0)]) for k in range(n)]
-    coords = ", ".join(f"y{i}" for i in range(n))
-    lines = ["def block(buf, b):",
-             f"    {coords}, = buf[0].tolist()",
-             "    rows = []",
-             "    extend = rows.extend",
-             "    try:",
-             "        for _ in range(b):",
-             *(f"            o{k} = {s}" for k, s in enumerate(sums)),
-             f"            s = {' + '.join(f'o{k}' for k in range(n))}",
-             *(f"            y{k} = o{k} / s" for k in range(n)),
-             f"            extend(({coords},))",
-             "    except ZeroDivisionError:",
-             "        return False",
-             "    buf[1:b + 1].reshape(-1)[:] = rows",
-             "    return True"]
-    namespace = {}
-    exec(compile("\n".join(lines), f"<qso scalar block, n = {n}>", "exec"), namespace)
-    return namespace["block"]
-
-
 def _orbit(q: ReducedQso, y0: np.ndarray, max_iters: int, tol: float):
     """Renormalized quadratic steps from ``y0`` until the l1 step size drops
     below ``tol`` or ``max_iters`` steps are done.
@@ -231,7 +165,7 @@ def _orbit(q: ReducedQso, y0: np.ndarray, max_iters: int, tol: float):
     a cycle can be missed but never invented.
     """
     total = np.add.reduce
-    block = _scalar_block(q.n, q.p.tobytes()) if q.n <= _SCALAR_MAX_N else None
+    block = q._block
     step = _stepper(q)
     buf = np.empty((_BLOCK_MAX + 1, q.n))
     row_bytes = buf.view(np.dtype((np.void, buf.itemsize * q.n)))[:, 0]  # a row as one value
@@ -389,7 +323,7 @@ def _newton_refine(q: ReducedQso, y: np.ndarray,
                 if res < best_res:
                     best, best_image, best_res = cand, cand_image, res
                     break
-            if moved.tobytes() == best.tobytes():
+            if np.array_equal(moved.view(np.uint64), best.view(np.uint64)):
                 # rounding is monotone, so every smaller t gives this same
                 # candidate and the same outcome: no step improves
                 return best, best_res

@@ -456,7 +456,7 @@ BLOCK_CASES["literals"] = (lambda: ReducedQso(2, np.array([[[1.0, 5e-324], [0.5,
 def test_scalar_block_writes_its_steps_and_nothing_else(name):
     make, y0 = BLOCK_CASES[name]
     q = make()
-    block = dynamics._scalar_block(q.n, q.p.tobytes())
+    block = q._block
     for b in (1, 8, 1024):
         buf = np.full((dynamics._BLOCK_MAX + 1, q.n), SENTINEL)
         buf[0] = y0
@@ -471,7 +471,7 @@ def test_scalar_block_writes_its_steps_and_nothing_else(name):
 def test_scalar_block_declines_a_zero_total_and_writes_nothing():
     # from (1, -1) the trait operator at alpha = 1/4 maps to (0, 0)
     q = qso.mendelian_trait(0.25)
-    block = dynamics._scalar_block(q.n, q.p.tobytes())
+    block = q._block
     for b in (1, 8, 1024):
         buf = np.full((dynamics._BLOCK_MAX + 1, 2), SENTINEL)
         buf[0] = [1.0, -1.0]
@@ -483,7 +483,7 @@ def test_scalar_block_declines_a_zero_total_and_writes_nothing():
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 def test_scalar_block_multiplies_twice_per_term_but_never_by_one(name):
     q = BLOCK_CASES[name][0]()
-    block = dynamics._scalar_block(q.n, q.p.tobytes())
+    block = q._block
     # the block multiplies only in its step loop, so these are one step's:
     # (c * y_i) * y_j for every nonzero coefficient, y_i * y_j where c is 1.0
     products = sum(ins.opname == "BINARY_OP" and ins.argrepr == "*"
@@ -509,30 +509,37 @@ def test_only_operators_above_four_types_step_by_einsum(monkeypatch, n, einsum_c
 
 def test_reduced_qso_pickles_after_iterating(monkeypatch):
     builds = []
-    build = operators._sparse_table
-    monkeypatch.setattr(operators, "_sparse_table", lambda p: builds.append(p) or build(p))
+    for name in ("_sparse_table", "_scalar_block"):
+        build = getattr(operators, name)
+        monkeypatch.setattr(operators, name,
+                            lambda p, name=name, build=build: builds.append(name) or build(p))
     cases = {name: SMALL_CASES[name] for name in ("rh", "abo", "cyclic")}
     cases["mendelian-64"] = (mendelian_operator, np.full(64, 1.0 / 64))
     for make, y0 in cases.values():
         del builds[:]
         q = make()
-        assert len(builds) == 1 and "_table" in vars(q)  # built by the constructor
+        built = builds[:]  # the table, and the block where n <= 4
+        assert built == ["_sparse_table"] + ["_scalar_block"] * (q.n <= 4)
+        assert "_table" in vars(q) and "_block" in vars(q)  # built by the constructor
         before = iterate(q, ReducedDistribution(y0), max_iters=50)
         qso.apply_reduced(q, ReducedDistribution(y0))
+        assert builds == built  # stepping builds nothing
         copy = pickle.loads(pickle.dumps(q))
+        assert builds == built * 2  # unpickling rebuilds each once, through the constructor
         assert copy.n == q.n and np.array_equal(copy.p, q.p) and repr(copy) == repr(q)
         if q._table is None:
             assert copy._table is None
         else:
             assert all(np.array_equal(a, b) and a.dtype == b.dtype
                        for a, b in zip(copy._table, q._table))
+        assert (copy._block is None) == (q._block is None)
         after = iterate(copy, ReducedDistribution(y0), max_iters=50)
         assert before.points.tobytes() == after.points.tobytes()
-        assert len(builds) == 1  # stepping and unpickling build nothing
+        assert builds == built * 2  # stepping the copy builds nothing
     # q is now the Mendelian operator, which steps through its table
     assert q._table is not None
     find_fixed_point(q, ReducedDistribution(y0))
-    assert len(builds) == 1
+    assert builds == built * 2
     gen = rng(830)
     rows = list(starts_with_signed_zeros(gen, q.n, 8))
     for bad in (np.nan, np.inf, -np.inf):
@@ -542,12 +549,49 @@ def test_reduced_qso_pickles_after_iterating(monkeypatch):
         for y in rows:
             expected = np.einsum("ijk,i,j->k", q.p, y, y)
             assert qso.operators.reduced_step(q, y).tobytes() == expected.tobytes()
-    assert len(builds) == 1
+    assert builds == built * 2
     # the table does not keep its operator alive
     alive = weakref.ref(q)
     del q, copy
     gc.collect()
     assert alive() is None
+
+
+def test_constructor_builds_each_kernel_once_and_stepping_builds_none(monkeypatch):
+    calls, built = [], []  # every call of a kernel builder, and each kernel it built
+
+    def counting(name, make):
+        def wrapped(p):
+            calls.append(name)
+            kernel = make(p)
+            if kernel is not None:
+                built.append(name)
+            return kernel
+        monkeypatch.setattr(operators, name, wrapped)
+
+    counting("_scalar_block", operators._scalar_block)
+    counting("_sparse_table", operators._sparse_table)
+    cases = {"trait": (lambda: qso.mendelian_trait(0.2), ["_scalar_block"]),
+             "rh": (lambda: qso.rh_model()[0], ["_scalar_block"]),
+             "abo": (lambda: qso.abo_model()[0], ["_scalar_block"]),
+             "cyclic": (cyclic_shift_operator, ["_scalar_block"]),
+             "multi-5": (lambda: qso.multi_allele([0.2, 0.15, 0.1, 0.03, 0.02]), []),
+             "mendelian-64": (mendelian_operator, ["_sparse_table"])}
+    for name, (make, kernels) in cases.items():
+        del calls[:], built[:]
+        q = make()
+        assert built == kernels, name
+        assert (q._block is not None, q._table is not None) == (
+            "_scalar_block" in kernels, "_sparse_table" in kernels), name
+        made = len(calls)
+        y0 = ReducedDistribution.uniform(q.n)
+        iterate(q, y0, max_iters=50)
+        find_fixed_point(q, y0)
+        qso.apply_reduced(q, y0)
+        assert len(calls) == made, name
+        twin = ReducedQso(q.n, q.p)  # equal coefficients, its own block
+        assert (twin._block is None) == (q._block is None)
+        assert twin._block is not q._block or q._block is None, name
 
 
 def halving_newton_refine(q, y, budget=dynamics._NEWTON_STEPS):
@@ -879,31 +923,27 @@ def test_periodic_orbit_blocks_match_per_step_loop(name):
     assert (k_blocks, converged) == (k, False) == (max(budgets), False)
 
 
-def counting_scalar_block(monkeypatch):
-    """The ``b`` of every call of a scalar block made from now on."""
+def counting_scalar_block(q):
+    """The ``b`` of every call of ``q``'s scalar block from now on."""
     computed = []
-    make = dynamics._scalar_block
+    block = q._block
 
-    def counting_make(n, coefficients):
-        block = make(n, coefficients)
+    def counting(buf, b):
+        computed.append(b)
+        return block(buf, b)
 
-        def counting(buf, b):
-            computed.append(b)
-            return block(buf, b)
-        return counting
-
-    monkeypatch.setattr(dynamics, "_scalar_block", counting_make)
+    object.__setattr__(q, "_block", counting)  # q is frozen; each test builds its own q
     return computed
 
 
 @pytest.mark.parametrize("name", ["cyclic", "abo", "nan"])
-def test_periodic_orbit_steps_only_until_a_block_finds_its_period(monkeypatch, name):
+def test_periodic_orbit_steps_only_until_a_block_finds_its_period(name):
     # NaN rows are equal by their bytes, though not as numbers
     make, y0, _, (first, repeat), _ = PERIODIC_CASES[name]
     q = make()
     with np.errstate(all="ignore"):
         expected = per_step_orbit(q, y0, repeat, 1e-300, 1)[0]
-    computed = counting_scalar_block(monkeypatch)  # a block left to einsum counts too
+    computed = counting_scalar_block(q)  # a block left to einsum counts too
     with np.errstate(all="ignore"):
         traj = iterate(q, ReducedDistribution(y0), max_iters=10**6, tol=1e-300)
     assert (traj.iterations, traj.converged) == (10**6, False)

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -505,6 +509,37 @@ def mendelian_64():
     space = build_space([("A", "a")] * 6)
     half = random_simplex(rng(64), space.m) / 2.0
     return mendelian_coefficients(space, Distribution(space, np.concatenate([half, half])))
+
+
+# one value of each checked type; the operator is sparse, so it holds a table
+COPIED = {
+    "Distribution": lambda: random_hyper_point(rng(66), RH, 0.3),  # p:q = 0.3:0.7
+    "MeasureFamily": qso.rh_measure_family,
+    "HeredityTensor": mendelian_64,  # with a support mask
+    "ReducedQso": lambda: reduce_tensor(mendelian_64()),
+    "ReducedDistribution": lambda: ReducedDistribution(random_simplex(rng(65), 64)),
+}
+
+
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+@pytest.mark.parametrize("kind", sorted(COPIED))
+def test_a_copy_is_rebuilt_read_only(kind, how):
+    value = COPIED[kind]()
+    copied = pickle.loads(pickle.dumps(value)) if how == "pickle" else copy.deepcopy(value)
+    assert type(copied) is type(value)
+    arrays = [f.name for f in dataclasses.fields(value)
+              if isinstance(getattr(value, f.name), np.ndarray)]
+    assert arrays
+    for name in arrays:
+        original, stored = getattr(value, name), getattr(copied, name)
+        assert stored is not original and not stored.flags.writeable
+        assert stored.dtype == original.dtype and stored.tobytes() == original.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            stored.flat[0] = 0.0
+    if kind == "ReducedQso":  # its copy steps from the same table, built afresh
+        assert value._table is not None and value._block is None and copied._block is None
+        assert all(a is not b and a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(copied._table, value._table))
 
 
 @pytest.mark.parametrize("tensor", [
