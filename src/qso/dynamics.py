@@ -72,7 +72,8 @@ import numpy as np
 from . import operators
 from .errors import AlphaOutOfRange, InvalidCoefficients, NoConvergence
 from .operators import (_DEGENERATE_TOL, _NEWTON_FLOOR, CLASSIFY_MARGIN, ROUNDING_TOL,
-                        ReducedDistribution, ReducedQso, _stepper, reduced_step)
+                        ReducedDistribution, ReducedQso, _read_only, _rebuilt, _stepper,
+                        reduced_step)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 1_000_000
@@ -84,13 +85,25 @@ _BLOCK_MAX = 1024     # most steps in one block
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A recorded orbit.  ``points[r]`` is the iterate at step ``indices[r]``;
-    the start and the final iterate are always recorded."""
+    the start and the final iterate are always recorded.
+
+    Both arrays are read-only.  The constructor adopts a read-only array that
+    owns its data, as ``iterate`` hands over, and stores a read-only copy of
+    anything else (float points, intp indices); pickling and copying go
+    through it (``_rebuilt``).
+    """
 
     points: np.ndarray
     indices: np.ndarray
     converged: bool
     iterations: int
     final_residual: float
+
+    __reduce__ = _rebuilt
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", _read_only(self.points))
+        object.__setattr__(self, "indices", _read_only(self.indices, np.intp))
 
     @property
     def final(self) -> ReducedDistribution:

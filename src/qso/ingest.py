@@ -32,6 +32,14 @@ alone.  Malformed files raise a
 ``QsoError``: ``ParseError`` with the line and column of a byte that is
 not UTF-8 or of a value that is not a finite number, ``SchemaError`` for
 a structural fault (header, field count, label, repeated or split rows).
+
+Either loop returns two read-only columns in file order: each row's flat
+cell index ``(i * m + j) * total + s`` and its value.  A ``CountsTable``
+from ``load_counts`` holds these checked columns, and ``estimate_measures``
+sums them in one ``np.bincount``; the table's ``rows``, one ``CountRow``
+per file row, are built from them on first access, once.  A table built
+as ``CountsTable(space, rows)`` is turned into columns by a per-row loop
+that checks each count and label, as before.
 """
 
 from __future__ import annotations
@@ -53,7 +61,8 @@ from .errors import (
     ZeroTotal,
 )
 from .genotype import GENDERS, GenotypeSpace, build_space
-from .operators import TABLE_TOL, MeasureFamily, ValidationReport, _check_gender_gap, _frozen
+from .operators import (TABLE_TOL, MeasureFamily, ValidationReport, _check_gender_gap, _frozen,
+                        _read_only, _rebuilt)
 
 MEASURE_HEADER = "mother,father,child_gender,child_type,value"
 COUNTS_HEADER = "mother,father,child_gender,child_type,count"
@@ -74,10 +83,56 @@ class CountsTable:
 
     Counts are usually integers; fractional values are accepted so that
     exact proportions and weighted records can be ingested unchanged.
+
+    A table that ``load_counts`` returns holds the file's checked cell
+    indices and counts as two read-only columns, and builds ``rows`` from
+    them, in file order, on first access, once.  It equals, hashes, prints,
+    pickles and copies as the table ``CountsTable(space, rows)``.
     """
 
     space: GenotypeSpace
     rows: tuple[CountRow, ...]
+
+    def __getattr__(self, name):
+        # called only for a missing attribute: ``rows`` of a loaded table
+        # that no caller has read yet
+        columns = vars(self).get("_columns")
+        if name != "rows" or columns is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                                 name=name, obj=self)
+        # setdefault: every caller gets the one tuple that is kept
+        return vars(self).setdefault("rows", _count_rows(self.space, *columns))
+
+    def __reduce__(self):
+        columns = vars(self).get("_columns")
+        if columns is None:
+            return _rebuilt(self)
+        return _loaded_table, (self.space, *columns)
+
+
+def _loaded_table(space: GenotypeSpace, cells: np.ndarray, values: np.ndarray) -> CountsTable:
+    """A table that holds a reader's checked ``cells`` and ``values`` columns."""
+    table = object.__new__(CountsTable)
+    object.__setattr__(table, "space", space)
+    object.__setattr__(table, "_columns", _read_only_columns(cells, values))
+    return table
+
+
+def _count_rows(space: GenotypeSpace, cells: np.ndarray,
+                values: np.ndarray) -> tuple[CountRow, ...]:
+    labels, _ = space.label_table
+    m, total = space.m, space.total
+    rows = []
+    for cell, v in zip(cells.tolist(), values.tolist()):
+        pair, s = divmod(cell, total)
+        i, j = divmod(pair, m)
+        rows.append(CountRow(labels[i], labels[j], GENDERS[s // m], labels[s % m], v))
+    return tuple(rows)
+
+
+def _read_only_columns(cells, values) -> tuple[np.ndarray, np.ndarray]:
+    """Cell indices and values as read-only intp and float arrays."""
+    return _read_only(cells, np.intp), _read_only(values)
 
 
 def _check_count(row: CountRow) -> None:
@@ -100,24 +155,10 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
     if counts.space is not space and counts.space != space:
         raise DimensionMismatch("counts table was built for a different space")
     m = space.m
-    _, index = space.label_table
-    offsets = {gender: g * m for g, gender in enumerate(GENDERS)}
-    cells = []
-    values = []
-    for row in counts.rows:
-        _check_count(row)
-        i = index.get(row.mother)
-        j = index.get(row.father)
-        offset = offsets.get(row.child_gender)
-        t = index.get(row.child_type)
-        if i is None or j is None or offset is None or t is None:
-            _check_labels(space, row.mother, row.father, row.child_gender, row.child_type)
-        cells.append((i * m + j) * space.total + offset + t)
-        values.append(row.count)
-    cells = np.array(cells, dtype=np.intp)
+    columns = getattr(counts, "_columns", None)
+    cells, values = columns if columns is not None else _row_columns(space, counts.rows)
     # in row order from +0.0, so repeated cells sum as a Python loop would
-    acc = np.bincount(cells, weights=np.array(values, dtype=float),
-                      minlength=m * m * space.total).reshape(m, m, -1)
+    acc = np.bincount(cells, weights=values, minlength=m * m * space.total).reshape(m, m, -1)
     seen = np.zeros(m * m, dtype=bool)
     seen[cells // space.total] = True
     if not seen.all():
@@ -139,6 +180,27 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
         _check_gender_gap(mu, AsymmetricMeasure, "counts are gender-asymmetric (max frequency "
                           "gap {}); pass symmetrize=True to pool genders")
     return MeasureFamily(space, _frozen(mu))
+
+
+def _row_columns(space: GenotypeSpace, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The cell and count columns of in-memory rows, checking each row's
+    count and then its labels in row order."""
+    m = space.m
+    _, index = space.label_table
+    offsets = {gender: g * m for g, gender in enumerate(GENDERS)}
+    cells = []
+    values = []
+    for row in rows:
+        _check_count(row)
+        i = index.get(row.mother)
+        j = index.get(row.father)
+        offset = offsets.get(row.child_gender)
+        t = index.get(row.child_type)
+        if i is None or j is None or offset is None or t is None:
+            _check_labels(space, row.mother, row.father, row.child_gender, row.child_type)
+        cells.append((i * m + j) * space.total + offset + t)
+        values.append(row.count)
+    return _read_only_columns(cells, values)
 
 
 # --- CSV plumbing -----------------------------------------------------------
@@ -291,7 +353,7 @@ def _parse_rows(space: GenotypeSpace, lines: list[str], start: int, nonnegative:
             current = pair
         cells.append(cell)
         values.append(v)
-    return cells, values
+    return _read_only_columns(cells, values)
 
 
 def _fast_rows(space: GenotypeSpace, lines: list[str], start: int, nonnegative: bool):
@@ -330,10 +392,10 @@ def _fast_rows(space: GenotypeSpace, lines: list[str], start: int, nonnegative: 
             values.append(float(value))
     except (KeyError, ValueError):
         return None
-    v = np.array(values)
-    if (not np.isfinite(v).all() or (nonnegative and (v < 0).any())
+    cells, values = _read_only_columns(cells, values)
+    if (not np.isfinite(values).all() or (nonnegative and (values < 0).any())
             or len(set(runs)) != len(runs)
-            or (cells and np.bincount(cells).max() > 1)):
+            or (cells.size and np.bincount(cells).max() > 1)):
         return None
     return cells, values
 
@@ -343,8 +405,9 @@ def _parse_table(lines: list[str], expected_header: str, nonnegative: bool = Fal
 
     Returns ``(space, cells, values)``: the declared space, and the flat
     index ``(i * m + j) * total + s`` and the value of every data row in
-    file order.  The rows go through ``_fast_rows``; a file it declines is
-    read again by ``_parse_rows``, which reports the first faulty line.
+    file order, as read-only intp and float arrays.  The rows go through
+    ``_fast_rows``; a file it declines is read again by ``_parse_rows``,
+    which reports the first faulty line.
     """
     space, start = _read_head(lines, expected_header)
     rows = _fast_rows(space, lines, start, nonnegative)
@@ -359,22 +422,13 @@ def load_counts(path) -> CountsTable:
 
 
 def _counts_table(lines: list[str]) -> CountsTable:
-    space, cells, values = _parse_table(lines, COUNTS_HEADER, nonnegative=True)
-    labels, _ = space.label_table
-    m, total = space.m, space.total
-    rows = []
-    for cell, v in zip(cells, values):
-        pair, s = divmod(cell, total)
-        i, j = divmod(pair, m)
-        rows.append(CountRow(labels[i], labels[j], GENDERS[s // m], labels[s % m], v))
-    return CountsTable(space, tuple(rows))
+    return _loaded_table(*_parse_table(lines, COUNTS_HEADER, nonnegative=True))
 
 
 def read_measure_family(path) -> MeasureFamily:
     """Parse a measure-family CSV without checking value invariants."""
     space, cells, values = _parse_table(_read_lines(path), MEASURE_HEADER)
     m = space.m
-    cells = np.array(cells, dtype=np.intp)
     mu = np.full((m, m, space.total), np.nan)
     mu.reshape(-1)[cells] = values
     # missing child rows within a declared pair are zeros

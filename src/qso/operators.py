@@ -135,6 +135,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _read_only(arr, dtype=float) -> np.ndarray:
+    """``arr`` itself if it is a read-only ndarray of ``dtype`` that owns its data,
+    else a read-only copy of it as ``dtype``."""
+    if (type(arr) is np.ndarray and arr.dtype == dtype and arr.flags.owndata
+            and not arr.flags.writeable):
+        return arr
+    return _frozen(np.array(arr, dtype=dtype))
+
+
 def _checked(obj, field: str, shape: tuple[int, ...] | None, what: str,
              error: type[Exception] = ValueError, dtype=float, nan_ok=False) -> np.ndarray:
     """Set ``obj.field`` to a read-only array with ``shape`` (``None``: any nonempty
@@ -142,10 +151,7 @@ def _checked(obj, field: str, shape: tuple[int, ...] | None, what: str,
     adopted; anything else is copied.  Float entries must be finite, or NaN when
     ``nan_ok``; the first other one raises ``error``.  Boolean arrays are not
     scanned."""
-    arr = getattr(obj, field)
-    if not (type(arr) is np.ndarray and arr.dtype == dtype and arr.flags.owndata
-            and not arr.flags.writeable):
-        arr = np.array(arr, dtype=dtype)
+    arr = _read_only(getattr(obj, field), dtype)
     if (arr.shape != shape) if shape else (arr.ndim != 1 or arr.size == 0):
         raise DimensionMismatch(
             f"{what} array has shape {arr.shape}, expected {shape or 'a nonempty vector'}")
@@ -156,7 +162,6 @@ def _checked(obj, field: str, shape: tuple[int, ...] | None, what: str,
             if bad.any():
                 at = np.unravel_index(b.start * row + int(bad.argmax()), arr.shape)
                 raise error(f"non-finite {what} {arr[at]} at index {tuple(map(int, at))}")
-    arr.setflags(write=False)
     object.__setattr__(obj, field, arr)
     return arr
 

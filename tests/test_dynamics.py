@@ -1,9 +1,13 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 import qso
 from qso import ReducedDistribution, ReducedQso, apply_reduced
 from qso.dynamics import (
+    Trajectory,
     analyze_f_alpha,
     analyze_quadratic_1d,
     f_alpha,
@@ -167,6 +171,33 @@ def test_trajectory_final_is_the_last_recorded_point():
     traj = iterate(qso.mendelian_trait(0.1), ReducedDistribution([0.5, 0.5]), stride=17)
     assert isinstance(traj.final, ReducedDistribution)
     assert np.array_equal(traj.final.values, traj.points[-1])
+
+
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+def test_a_trajectory_copy_is_read_only(how):
+    # unpickled arrays used to come back writable
+    traj = iterate(qso.rh_model()[0], ReducedDistribution([0.3, 0.7]), stride=3)
+    copied = pickle.loads(pickle.dumps(traj)) if how == "pickle" else copy.deepcopy(traj)
+    assert type(copied) is Trajectory
+    for name in ("points", "indices"):
+        original, stored = getattr(traj, name), getattr(copied, name)
+        assert not original.flags.writeable
+        assert stored is not original and not stored.flags.writeable
+        assert stored.dtype == original.dtype and stored.tobytes() == original.tobytes()
+    assert (copied.converged, copied.iterations, copied.final_residual) == (
+        traj.converged, traj.iterations, traj.final_residual)
+
+
+def test_trajectory_adopts_only_read_only_arrays_it_owns():
+    traj = iterate(qso.mendelian_trait(0.1), ReducedDistribution([0.5, 0.5]), stride=17)
+    fields = (traj.converged, traj.iterations, traj.final_residual)
+    assert Trajectory(traj.points, traj.indices, *fields).points is traj.points
+    points = traj.points.copy()
+    kept = Trajectory(points, traj.indices[:], *fields)
+    assert kept.points is not points and not kept.points.flags.writeable
+    assert kept.indices.base is None and not kept.indices.flags.writeable
+    points[0] = 0.0  # writing to what was passed in changes nothing
+    assert np.array_equal(kept.points, traj.points)
 
 
 def test_newton_refinement_polishes_below_iteration_tolerance():

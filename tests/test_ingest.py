@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import io
 import math
@@ -23,6 +24,7 @@ from qso import (
     save_counts,
     save_measure_family,
 )
+from qso import ingest
 from qso.cli import main
 from qso.errors import (
     AsymmetricMeasure,
@@ -34,6 +36,7 @@ from qso.errors import (
     SchemaError,
     ZeroTotal,
 )
+from qso.genotype import GENDERS
 
 from helpers import random_symmetric_family, rng
 
@@ -510,6 +513,113 @@ def test_undecodable_byte_is_a_parse_error(tmp_path, text, line, column):
             reader(path)
         assert (exc.value.line, exc.value.column) == (line, column)
         assert str(exc.value).startswith(f"line {line}, column {column}: invalid UTF-8 byte")
+
+
+# --- loaded tables -------------------------------------------------------------------------
+
+def oracle_counts_table(lines):
+    """``load_counts``' table as it was built before tables held columns: one
+    ``CountRow`` per parsed row, in file order."""
+    space, cells, values = ingest._parse_table(lines, ingest.COUNTS_HEADER, nonnegative=True)
+    labels, _ = space.label_table
+    m, total = space.m, space.total
+    rows = []
+    for cell, v in zip(cells.tolist(), values.tolist()):
+        pair, s = divmod(cell, total)
+        i, j = divmod(pair, m)
+        rows.append(CountRow(labels[i], labels[j], GENDERS[s // m], labels[s % m], v))
+    return CountsTable(space, tuple(rows))
+
+
+LOADED = {
+    # canonical rows: the fast reader
+    "rh": "# space: +,-\nmother,father,child_gender,child_type,count\n" + "".join(
+        f"{mo},{fa},{g},{c},{k}\n" for k, (mo, fa, g, c) in enumerate(
+            (mo, fa, g, c) for mo in "+-" for fa in "+-" for g in "fm" for c in "+-")),
+    # fractional and signed-zero counts, and multi-component labels
+    "multi": "# space: A,a;B,b\nmother,father,child_gender,child_type,count\n" + "".join(
+        f"{x},{y},{g},A|B,{v}\n"
+        for x in ("A|B", "A|b", "a|B", "a|b") for y in ("A|B", "A|b", "a|B", "a|b")
+        for g, v in (("f", 0.1), ("m", -0.0))),
+    # padding, a comment and a blank line between rows: the per-line reader
+    "odd": RH_COUNTS.replace("+,+,f,-,15", " +, + ,f,-, 15 ").replace(
+        "-,+,f,-,2", "# a comment\n\n-,+,f,-,2.5"),
+}
+
+
+def load(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(LOADED[name])
+    return load_counts(path)
+
+
+@pytest.mark.parametrize("name", sorted(LOADED))
+def test_loaded_table_rows_match_the_row_loop(tmp_path, name):
+    table = load(tmp_path, name)
+    want = oracle_counts_table(ingest._split_lines(LOADED[name]))
+    assert "rows" not in vars(table)  # built on first access
+    rows = table.rows
+    assert type(rows) is tuple and rows == want.rows
+    assert [repr(r.count) for r in rows] == [repr(r.count) for r in want.rows]
+    assert all(type(r.count) is float for r in rows)
+    assert table.rows is rows  # once
+
+
+@pytest.mark.parametrize("name", sorted(LOADED))
+@pytest.mark.parametrize("read_first", [False, True])
+def test_loaded_table_equals_its_rows_built_table(tmp_path, name, read_first):
+    loaded = load(tmp_path, name)
+    if read_first:
+        loaded.rows
+    built = CountsTable(loaded.space, load(tmp_path, name).rows)
+    assert loaded == built and built == loaded
+    assert not (loaded != built or built != loaded)
+    assert hash(loaded) == hash(built) and repr(loaded) == repr(built)
+    assert loaded == load(tmp_path, name)
+    assert loaded != CountsTable(built.space, built.rows[1:])
+
+
+def test_estimating_a_loaded_table_builds_no_rows(tmp_path, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("rows were built")
+
+    monkeypatch.setattr(ingest, "_count_rows", no_rows)
+    table = load(tmp_path, "rh")
+    estimate_measures(table.space, table, symmetrize=True)
+    assert "rows" not in vars(table)
+    path = tmp_path / "rh.csv"
+    assert main(["ingest", str(path), str(tmp_path / "family.csv"), "--symmetrize"]) == 0
+
+
+COPIES = {"pickle": lambda t: pickle.loads(pickle.dumps(t)), "copy": copy.copy,
+          "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("read_first", [False, True])
+def test_loaded_table_copies_and_freezes_as_a_rows_built_table(tmp_path, how, read_first):
+    loaded = load(tmp_path, "multi")
+    built = CountsTable(loaded.space, load(tmp_path, "multi").rows)
+    if read_first:
+        loaded.rows
+    for table in (loaded, built):
+        copied = COPIES[how](table)
+        assert type(copied) is CountsTable
+        assert copied == built and hash(copied) == hash(built) and repr(copied) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.rows = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.space = RH
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del copied.rows
+        assert dataclasses.replace(copied) == built
+    for table in (loaded, COPIES[how](loaded)):  # a loaded table's copy holds columns
+        cells, values = vars(table)["_columns"]
+        assert not (cells.flags.writeable or values.flags.writeable)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        load(tmp_path, "rh").rows = ()  # before its rows are built too
+    with pytest.raises(AttributeError, match="has no attribute 'cells'"):
+        loaded.cells
 
 
 # --- fuzzed files ------------------------------------------------------------------------

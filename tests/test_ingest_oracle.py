@@ -23,6 +23,12 @@ property mutates canonical files (padding, odd values, comments, repeated
 or split rows, wrong fields, odd labels, CRLF) and requires ``_parse_table``
 to return the per-line loop's result or raise its error; a work guard
 requires canonical files to load without the per-line loop.
+
+A loaded counts table holds the reader's cell and count columns and
+estimates from them in one ``np.bincount``.  On the same mutated files and
+on the single-fault files, that estimate must have the bytes, or raise the
+error, of the estimate from ``CountsTable(space, table.rows)``, which goes
+through the per-row loop.
 """
 
 import itertools
@@ -585,8 +591,11 @@ def parse_outcome(lines, header, nonnegative):
 
 
 def table_outcome(space, cells, values):
-    # repr tells -0.0 from 0.0
-    return space, cells, [repr(v) for v in values]
+    # both loops return read-only intp and float columns; repr of each
+    # Python float tells -0.0 from 0.0
+    assert (cells.dtype, values.dtype) == (np.intp, np.float64)
+    assert not (cells.flags.writeable or values.flags.writeable)
+    return space, cells.tolist(), [repr(v) for v in values.tolist()]
 
 
 def error_outcome(exc):
@@ -681,3 +690,62 @@ def test_canonical_files_never_take_the_per_line_loop(tmp_path, monkeypatch, new
         path.write_bytes(path.read_bytes().replace(b"\n", newline))
     assert load_counts(tmp_path / "counts.csv") == counts
     assert np.array_equal(load_measure_family(tmp_path / "family.csv").mu, family.mu)
+
+
+# --- estimates from a loaded table's columns -------------------------------------------
+
+def estimate_outcomes(table):
+    """``estimate_measures``' bytes, or its error, for both ``symmetrize`` values."""
+    outcomes = []
+    for symmetrize in (False, True):
+        try:
+            outcomes.append(estimate_measures(table.space, table, symmetrize).mu.tobytes())
+        except QsoError as exc:
+            outcomes.append(error_outcome(exc))
+    return outcomes
+
+
+def check_loaded_estimates(lines):
+    """A loaded table estimates from its columns, bitwise as from its rows."""
+    try:
+        table = ingest._counts_table(lines)
+    except QsoError:
+        return None
+    got = estimate_outcomes(table)
+    assert "rows" not in vars(table)  # estimating read no rows
+    assert got == estimate_outcomes(CountsTable(table.space, table.rows))
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(SPACES) + sorted(ODD_SPACES)),
+       seed=st.integers(0, 2**16),
+       mutations=st.lists(ROW_MUTATION, max_size=3),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_estimate_from_columns_matches_rows(name, seed, mutations, newline):
+    gen = rng(seed)
+    text = counts_text(gen, {**SPACES, **ODD_SPACES}[name], fractional=bool(seed % 2))
+    check_loaded_estimates(ingest._split_lines(newline.join(mutate_rows(text, mutations))
+                                               + newline))
+
+
+@pytest.mark.parametrize("name, base, line_no, replacement",
+                         SINGLE_FAULTS + [("rh", RH_COUNTS, 1, "# space: +,-"),
+                                          ("multi", MULTI_MEASURE, 1, "# space: A,a;B,b")],
+                         ids=[fault[0] for fault in SINGLE_FAULTS] + ["rh", "multi"])
+def test_estimate_from_columns_matches_rows_on_single_fault_files(name, base, line_no,
+                                                                  replacement):
+    lines = ingest._split_lines(with_fault(base, line_no, replacement, COUNTS_HEADER))
+    got = check_loaded_estimates(lines)
+    if name == "rh":  # gender-symmetric, every pair present
+        assert all(isinstance(outcome, bytes) for outcome in got)
+    elif name == "multi":  # 2 of 16 parent pairs
+        assert [outcome[0] for outcome in got] == [MissingParentPair] * 2
+    else:  # the reader rejects each of these files, so no table is estimated
+        assert got is None
+
+
+def test_estimate_from_columns_reports_asymmetry_as_rows_do():
+    gen = rng(21)
+    got = check_loaded_estimates(ingest._split_lines(counts_text(gen, SPACES["abo"])))
+    assert got[0][0] is AsymmetricMeasure and isinstance(got[1], bytes)
