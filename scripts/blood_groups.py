@@ -39,6 +39,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tol", type=float, default=1e-12)
     args = parser.parse_args()
+    if not args.tol > 0:  # NaN too
+        parser.error(f"--tol must be positive, got {args.tol}")
     for factory in (rh_model, abo_model):
         q, desc = factory()
         report(q, desc, args.tol)

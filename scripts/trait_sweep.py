@@ -31,6 +31,8 @@ def main():
     args = parser.parse_args()
     if args.starts < 1:
         parser.error("--starts must be at least 1")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     try:
         alphas = [float(a) for a in args.alphas.split(",")]
     except ValueError:

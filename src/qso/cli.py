@@ -76,6 +76,8 @@ def _parse_start(text: str, n: int, seed: int) -> ReducedDistribution:
                 seed = int(text.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"bad seed in start spec {text!r}")
+        if seed < 0:  # PCG64 would raise without naming it
+            raise ValueError(f"seed must be non-negative, got {seed}")
         return ReducedDistribution(random_simplex_point(n, seed))
     try:
         values = [float(part) for part in text.split(",")]

@@ -72,8 +72,8 @@ import numpy as np
 from . import operators
 from .errors import AlphaOutOfRange, InvalidCoefficients, NoConvergence
 from .operators import (_DEGENERATE_TOL, _NEWTON_FLOOR, CLASSIFY_MARGIN, ROUNDING_TOL,
-                        ReducedDistribution, ReducedQso, _read_only, _rebuilt, _stepper,
-                        reduced_step)
+                        ReducedDistribution, ReducedQso, _frozen, _read_only, _rebuilt,
+                        _stepper, reduced_step)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 1_000_000
@@ -272,9 +272,7 @@ def iterate(q: ReducedQso, y0: ReducedDistribution, max_iters: int = DEFAULT_MAX
     idx = np.arange(0, k + 1, stride)
     if k % stride:
         idx = np.append(idx, k)
-    out.setflags(write=False)
-    idx.setflags(write=False)
-    return Trajectory(out, idx, k > 0 and residual < tol, k, residual)
+    return Trajectory(_frozen(out), _frozen(idx), k > 0 and residual < tol, k, residual)
 
 
 def jacobian(q: ReducedQso, y: np.ndarray) -> np.ndarray:

@@ -27,9 +27,8 @@ the ratio and support checks of ``_pair_violations``) walk the first axis in
 blocks of about 1 MiB.
 
 ``reduced_step``, which the Newton polish of ``dynamics`` calls, and
-through ``_stepper`` the orbit kernel take one quadratic step,
-``np.einsum("ijk,i,j->k", p, y, y)``; ``reduced_step`` on an operator
-without a table makes that one call and builds nothing for it.  An
+the orbit kernel both take one quadratic step through ``_stepper``,
+``np.einsum("ijk,i,j->k", p, y, y)``.  An
 operator whose coefficients are mostly zero steps instead from a table of
 its nonzero coefficients, with the same bits.  Mendelian
 ones are such: a child type arises only from parents whose offspring set
@@ -96,6 +95,7 @@ across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -270,11 +270,22 @@ class MeasureFamily:
     def from_dict(cls, space: GenotypeSpace, rows: dict) -> "MeasureFamily":
         """Build from ``{(mother_trait_index, father_trait_index): row}``.
 
-        Pairs absent from ``rows`` are marked missing (NaN).
+        Pairs absent from ``rows`` are marked missing (NaN).  A key other than
+        two trait indices in ``[0, m)``, or a row of other than ``space.total``
+        values, raises ``DimensionMismatch`` (NumPy would wrap a negative index).
         """
         mu = np.full((space.m, space.m, space.total), np.nan)
-        for (i, j), row in rows.items():
-            mu[i, j] = np.asarray(row, dtype=float)
+        for key, row in rows.items():
+            row = np.asarray(row, dtype=float)
+            try:
+                i, j = map(operator.index, key)
+            except (TypeError, ValueError):  # not two integers
+                i = j = -1
+            if not (0 <= i < space.m and 0 <= j < space.m and row.shape == (space.total,)):
+                raise DimensionMismatch(
+                    f"pair {key!r} needs two trait indices in [0, {space.m}) and "
+                    f"{space.total} values, got a row of shape {row.shape}")
+            mu[i, j] = row
         return cls(space, _frozen(mu))
 
     def missing_pairs(self) -> list[tuple[int, int]]:
@@ -625,12 +636,8 @@ def apply_reduced(q: ReducedQso, y: ReducedDistribution) -> ReducedDistribution:
 
 def reduced_step(q: ReducedQso, y: np.ndarray) -> np.ndarray:
     """Raw quadratic-form step on a plain vector (no simplex validation)."""
-    y = np.asarray(y, dtype=float)
     out = np.empty(q.n)
-    if q._table is None:  # one einsum call, with no step built for it
-        _einsum("ijk,i,j->k", q.p, y, y, out=out)
-    else:
-        _stepper(q)(y, out)
+    _stepper(q)(np.asarray(y, dtype=float), out)
     return out
 
 

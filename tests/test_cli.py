@@ -329,6 +329,12 @@ def test_bad_random_seed_is_one_error_line(capsys):
     assert (code, out, err) == (1, "", "error: bad seed in start spec 'random:x'\n")
 
 
+@pytest.mark.parametrize("seed", [["--start", "random", "--seed", "-1"], ["--start", "random:-1"]])
+def test_negative_seed_is_one_error_line_naming_it(capsys, seed):
+    code, out, err = run_cli(capsys, "run", "--model", "rh", *seed)
+    assert (code, out, err) == (1, "", "error: seed must be non-negative, got -1\n")
+
+
 @pytest.mark.parametrize("command", ["run", "fixpoint"])
 def test_negative_max_iters_is_one_error_line(command):
     proc = subprocess.run(

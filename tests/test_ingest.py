@@ -307,6 +307,8 @@ def test_save_counts_refuses_a_table_that_reads_back_differently(tmp_path, mothe
     [["a|x", "b"], ["c", "d"]],
     [[" a", "b"]],
     [["#a", "b"]],
+    [["", "a"]],  # this '# space:' line and the next do not parse
+    [["a", " a"]],
 ])
 def test_save_measure_family_refuses_a_space_that_reads_back_differently(tmp_path,
                                                                          components):

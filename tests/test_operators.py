@@ -634,6 +634,23 @@ def test_violation_prints_its_message():
     assert str(violation) == violation.message == "pair (- x +) has no measure"
 
 
+@pytest.mark.parametrize("key, row", [
+    ((-1, 0), [0.25] * 4),  # would wrap to (1, 0)
+    ((2, 0), [0.25] * 4),
+    ((0, 0.5), [0.25] * 4),
+    ((0, 0, 0), [0.25] * 4),
+    (0, [0.25] * 4),
+    ((1, 0), [0.5, 0.5]),
+    ((1, 0), 0.25),
+])
+def test_from_dict_rejects_a_bad_pair_or_row(key, row):
+    message = (f"pair {key!r} needs two trait indices in [0, 2) and 4 values, "
+               f"got a row of shape {np.shape(row)}")
+    with pytest.raises(DimensionMismatch) as caught:
+        MeasureFamily.from_dict(RH, {(0, 0): [0.25] * 4, key: row})
+    assert str(caught.value) == message
+
+
 # --- lift / fold ----------------------------------------------------------------
 
 def test_lift_fold_examples():

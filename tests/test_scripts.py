@@ -8,6 +8,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def assert_rejected_before_output(script, args, message):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(f"{script}: error: {message}\n")
+
+
 @pytest.mark.parametrize("alphas, message", [
     ("0.6", "each alpha must lie in (0, 1/2), got 0.6"),
     ("0", "each alpha must lie in (0, 1/2), got 0.0"),
@@ -15,11 +26,14 @@ ROOT = Path(__file__).resolve().parent.parent
     ("0.1,,0.2", "--alphas must be comma-separated numbers, got '0.1,,0.2'"),
 ])
 def test_trait_sweep_rejects_bad_alphas_before_sweeping(alphas, message):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "trait_sweep.py"), "--alphas", alphas],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.endswith(f"trait_sweep.py: error: {message}\n")
+    assert_rejected_before_output("trait_sweep.py", ["--alphas", alphas], message)
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("blood_groups.py", ["--tol", "-1"], "--tol must be positive, got -1.0"),
+    ("blood_groups.py", ["--tol", "0"], "--tol must be positive, got 0.0"),
+    ("blood_groups.py", ["--tol", "nan"], "--tol must be positive, got nan"),
+    ("trait_sweep.py", ["--seed", "-1"], "--seed must be non-negative, got -1"),
+])
+def test_scripts_reject_bad_numbers_before_output(script, args, message):
+    assert_rejected_before_output(script, args, message)
