@@ -1,12 +1,13 @@
 """Factories for the concrete operators shipped with the package.
 
-Two closed-form families (the two-type trait operator and the multi-allele
-operator of Volterra type) and two operators compiled from embedded
-frequency tables (Rh and ABO blood-group transmission, estimated from a
-Malaysian parent sample).  Table rows are stored exactly as published, at
-four decimals; operator coefficients are always derived from the measures
-after row renormalization, never stored, because the published derived
-forms carry rounding inconsistencies in the fourth decimal.
+Two parametric families (the two-type trait operator, reduced from its
+Mendelian tensor, and the closed-form multi-allele operator of Volterra
+type) and two operators compiled from embedded frequency tables (Rh and
+ABO blood-group transmission, estimated from a Malaysian parent sample).
+Table rows are stored exactly as published, at four decimals; operator
+coefficients are always derived from the measures after row
+renormalization, never stored, because the published derived forms carry
+rounding inconsistencies in the fourth decimal.
 
 ``table_operator`` is the one construction from a measure table: the Rh and
 ABO models and the CLI's ``--coeff-file`` all build their operator with it.
@@ -34,6 +35,7 @@ from .operators import (
     MeasureFamily,
     ReducedQso,
     _frozen,
+    mendelian_coefficients,
     nonmendelian_coefficients,
     reduce,
 )
@@ -63,17 +65,9 @@ def trait_base_measure(alpha: float) -> Distribution:
 
 
 def mendelian_trait(alpha: float) -> ReducedQso:
-    """Two-type trait operator: ``y'_1 = y_1^2 + 4 alpha y_1 y_2``.
-
-    Identical (to machine precision) to reducing the coefficient tensor
-    built from the base measure (alpha, 1/2 - alpha).
-    """
-    _check_alpha(alpha)
-    p = np.zeros((2, 2, 2))
-    p[0, 0, 0] = 1.0
-    p[0, 1, 0] = p[1, 0, 0] = 2.0 * alpha
-    p[:, :, 1] = 1.0 - p[:, :, 0]
-    return ReducedQso(2, _frozen(p))
+    """Two-type trait operator: ``y'_1 = y_1^2 + 4 alpha y_1 y_2``, the
+    reduced Mendelian tensor of the base measure (alpha, 1/2 - alpha)."""
+    return reduce(mendelian_coefficients(trait_space(), trait_base_measure(alpha)))
 
 
 def multi_allele(alphas) -> ReducedQso:
@@ -88,12 +82,12 @@ def multi_allele(alphas) -> ReducedQso:
     if not abs(arr.sum() - 0.5) <= MASS_TOL:
         raise BadSum(f"weights must sum to 1/2, got {arr.sum()}")
     n = arr.size
+    share = arr[:, None] / (arr[:, None] + arr)   # [i, j]: alpha_i / (alpha_i + alpha_j)
     p = np.zeros((n, n, n))
-    for i in range(n):
-        p[i, i, i] = 1.0
-        for j in range(n):
-            if j != i:
-                p[i, j, i] = p[j, i, i] = arr[i] / (arr[i] + arr[j])
+    k = np.arange(n)
+    p[k, :, k] = share
+    p[:, k, k] = share.T
+    p[k, k, k] = 1.0
     return ReducedQso(n, _frozen(p))
 
 

@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and fixed inputs shared by the test modules."""
 
 from __future__ import annotations
 
@@ -106,3 +106,26 @@ def random_dominant_alphas(gen: np.random.Generator, n: int = 4,
         s = np.sort(a)
         if s[-1] - s[-2] >= min_gap and s[0] > 1e-4:
             return a
+
+
+# 16 Rh counts, 1,000 children per parent pair, in the canonical layout
+RH_COUNTS = """\
+# space: +,-
+mother,father,child_gender,child_type,count
++,+,f,+,985
++,+,f,-,15
++,+,m,+,985
++,+,m,-,15
++,-,f,+,646
++,-,f,-,354
++,-,m,+,646
++,-,m,-,354
+-,+,f,+,655
+-,+,f,-,345
+-,+,m,+,655
+-,+,m,-,345
+-,-,f,+,100
+-,-,f,-,900
+-,-,m,+,100
+-,-,m,-,900
+"""

@@ -9,6 +9,8 @@ import qso
 from qso.cli import main, random_simplex_point
 from qso.models import _table_path
 
+from helpers import RH_COUNTS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -213,6 +215,15 @@ def test_ingest_then_validate(capsys, tmp_path):
     assert family.mu[0, 0, 0] == 0.4925
 
 
+def test_run_on_an_ingested_family_prints_valid_json(capsys, tmp_path):
+    counts, family = tmp_path / "counts.csv", tmp_path / "family.csv"
+    counts.write_text(RH_COUNTS)
+    assert run_cli(capsys, "ingest", str(counts), str(family))[0] == 0
+    code, out, _ = run_cli(capsys, "run", "--coeff-file", str(family), "--format", "json")
+    assert code == 0
+    assert strict_json(out)["converged"] is True
+
+
 def test_coeff_file_model_matches_builtin(capsys, tmp_path):
     exported = tmp_path / "rh.csv"
     qso.export_table("rh", exported)
@@ -301,7 +312,7 @@ def test_numbers_printed_with_12_significant_digits(capsys):
 
 # --- error handling -----------------------------------------------------------------
 
-def test_errors_exit_one(capsys):
+def test_errors_exit_one(capsys, tmp_path):
     # no model source
     code, _, err = run_cli(capsys, "run", "--start", "uniform")
     assert code == 1 and "error:" in err
@@ -322,6 +333,11 @@ def test_errors_exit_one(capsys):
     # missing file
     code, _, err = run_cli(capsys, "validate", "does-not-exist.csv")
     assert code == 1
+    # a space that repeats an allele, named by its line
+    dup = tmp_path / "dup.csv"
+    dup.write_text("# space: +,+\nmother,father,child_gender,child_type,value\n")
+    code, _, err = run_cli(capsys, "validate", str(dup))
+    assert code == 1 and err.startswith("error: line 1: component 0 repeats an allele label")
 
 
 def test_bad_random_seed_is_one_error_line(capsys):

@@ -20,30 +20,18 @@ import pytest
 from qso.cli import main
 from qso.models import _table_path
 
+from helpers import RH_COUNTS
+
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 EXPECTED = json.loads(GOLDEN.read_text())
 
-# the 16-row Rh counts file of the CI's ingest round trip
-RH_COUNTS = """\
-# space: +,-
-mother,father,child_gender,child_type,count
-+,+,f,+,985
-+,+,f,-,15
-+,+,m,+,985
-+,+,m,-,15
-+,-,f,+,646
-+,-,f,-,354
-+,-,m,+,646
-+,-,m,-,354
--,+,f,+,655
--,+,f,-,345
--,+,m,+,655
--,+,m,-,345
--,-,f,+,100
--,-,f,-,900
--,-,m,+,100
--,-,m,-,900
-"""
+# the same counts with padded fields, a comment and a blank line between rows,
+# and CRLF endings: the per-line reader's input, which must ingest to the
+# bytes of the canonical file's family
+_odd = RH_COUNTS.splitlines()
+_odd[4] = " " + _odd[4].replace(",", " , ")
+_odd[8:8] = ["# a comment between rows", ""]
+ODD_RH_COUNTS = "\r\n".join(_odd) + "\r\n"
 
 INVOCATIONS = {
     "run-trait-0.2499-csv": ["run", "--model", "trait", "--alpha", "0.2499"],
@@ -70,15 +58,16 @@ def _run(argv) -> tuple[int, str]:
 
 
 def golden_outputs(workdir: Path) -> dict:
-    """Exit code and digest of every pinned invocation; the ingest entry
-    digests the written family file, whose path stdout would print."""
-    counts, family = workdir / "counts.csv", workdir / "family.csv"
-    counts.write_text(RH_COUNTS)
-    code, _ = _run(["ingest", str(counts), str(family)])
-    results = {"ingest-rh-counts": {
-        "exit": code, "sha256": hashlib.sha256(family.read_bytes()).hexdigest()}}
+    """Exit code and digest of every pinned invocation; the ingest entries
+    digest the written family file, whose path stdout would print."""
+    results = {}
+    for name, text in (("ingest-rh-counts", RH_COUNTS), ("ingest-rh-counts-odd", ODD_RH_COUNTS)):
+        counts, family = workdir / f"{name}.csv", workdir / f"{name}-family.csv"
+        counts.write_bytes(text.encode())
+        code, _ = _run(["ingest", str(counts), str(family)])
+        results[name] = {"exit": code, "sha256": hashlib.sha256(family.read_bytes()).hexdigest()}
     paths = {"rh": str(_table_path("rh.csv")), "abo": str(_table_path("abo.csv")),
-             "family": str(family)}
+             "family": str(workdir / "ingest-rh-counts-family.csv")}
     for name, argv in INVOCATIONS.items():
         code, digest = _run([arg.format(**paths) for arg in argv])
         results[name] = {"exit": code, "sha256": digest}

@@ -688,8 +688,13 @@ def test_canonical_files_never_take_the_per_line_loop(tmp_path, monkeypatch, new
     for name in ("counts.csv", "family.csv"):
         path = tmp_path / name
         path.write_bytes(path.read_bytes().replace(b"\n", newline))
-    assert load_counts(tmp_path / "counts.csv") == counts
+    loaded = load_counts(tmp_path / "counts.csv")
+    assert loaded == counts
     assert np.array_equal(load_measure_family(tmp_path / "family.csv").mu, family.mu)
+    # saving the loaded table rewrites its input, in LF endings
+    save_counts(loaded, tmp_path / "saved.csv")
+    assert ((tmp_path / "saved.csv").read_bytes().replace(b"\n", newline)
+            == (tmp_path / "counts.csv").read_bytes())
 
 
 # --- estimates from a loaded table's columns -------------------------------------------

@@ -18,7 +18,7 @@ from qso.errors import AlphaOutOfRange, BadSum, NonPositiveAlpha
 from qso.models import from_name, table_operator, _table_path
 from qso.operators import nonmendelian_coefficients, reduce as reduce_tensor
 
-from helpers import random_simplex, rng
+from helpers import random_dominant_alphas, random_simplex, rng
 
 
 # --- trait model -----------------------------------------------------------------
@@ -48,13 +48,15 @@ def test_trait_step_matches_conjugate_map():
 
 
 def test_trait_equals_reduced_coefficient_route():
-    space = qso.trait_space()
-    for alpha in np.linspace(0.05, 0.45, 9):
-        closed = qso.mendelian_trait(alpha)
-        derived = reduce_tensor(
-            mendelian_coefficients(space, qso.trait_base_measure(alpha))
-        )
-        assert np.abs(closed.p - derived.p).max() <= 1e-15
+    # the closed form y'_1 = y_1^2 + 4 alpha y_1 y_2, entry by entry, against
+    # the reduced Mendelian tensor of (alpha, 1/2 - alpha) that builds it;
+    # the smallest subnormal and 1/2 - ulp are the ends of the alpha range
+    for alpha in [*np.linspace(0.05, 0.45, 9), 5e-324, np.nextafter(0.5, 0.0)]:
+        closed = np.zeros((2, 2, 2))
+        closed[0, 0, 0] = 1.0
+        closed[0, 1, 0] = closed[1, 0, 0] = 2.0 * alpha
+        closed[:, :, 1] = 1.0 - closed[:, :, 0]
+        assert np.array_equal(qso.mendelian_trait(alpha).p, closed), alpha
 
 
 def test_trait_full_form_fixed_points():
@@ -102,8 +104,18 @@ def test_multi_allele_matches_coefficient_route():
     space = build_space([["1", "2", "3", "4"]])
     mu0 = Distribution(space, np.concatenate([alphas, alphas]))
     derived = reduce_tensor(mendelian_coefficients(space, mu0))
-    closed = qso.multi_allele(alphas)
-    assert np.abs(closed.p - derived.p).max() <= 1e-15
+    assert np.abs(qso.multi_allele(alphas).p - derived.p).max() <= 1e-15
+    # bit for bit, the closed form filled pair by pair
+    gen = rng(35)
+    for weights in [alphas, *(random_dominant_alphas(gen, n) for n in (2, 3, 5, 9))]:
+        n = len(weights)
+        closed = np.zeros((n, n, n))
+        for i in range(n):
+            closed[i, i, i] = 1.0
+            for j in range(n):
+                if j != i:
+                    closed[i, j, i] = closed[j, i, i] = weights[i] / (weights[i] + weights[j])
+        assert np.array_equal(qso.multi_allele(weights).p, closed), weights
 
 
 def test_multi_allele_vertices_fixed_and_faces_invariant():
