@@ -36,12 +36,11 @@ budget as that period, tiled from the right phase, with its step sizes
 tiled the same way, so points, step counts and residuals stay bitwise
 those of stepping.  The bench's million-step cyclic orbit repeats from row
 4 with period 3, and ABO from uniform at tol 1e-300 from row 352 with
-period 2; each now computes fewer than 2,048 steps (0.87 -> 0.03 s and
-4.1 -> 0.04 s, one x86-64 core).  Only periods of at most one block
-(``_BLOCK_MAX`` = 1024 steps) whose block starts on the cycle are found; a
-longer one is stepped as before, which is exact too.  Bytes tell -0.0 from
-0.0 and one NaN payload from another, so the check can miss a cycle but
-never invents one.
+period 2; each computes fewer than 2,048 steps.  Only periods of at most
+one block (``_BLOCK_MAX`` = 1024 steps) whose block starts on the cycle are
+found; a longer one is stepped in full, which is exact too.  Bytes tell
+-0.0 from 0.0 and one NaN payload from another, so the check can miss a
+cycle but never invents one.
 
 Each block is stepped by kernels that the operator's constructor built
 and holds (see ``operators``): its scalar block ``q._block``, which writes

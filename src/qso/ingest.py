@@ -16,8 +16,9 @@ parent pair must be contiguous; missing child rows count as zero; a
 completely missing parent pair is an error.  ``save_counts`` runs the
 reader over the text it is about to write, so it cannot write a table
 that ``load_counts`` rejects or reads back differently.
-``save_measure_family`` checks the space instead, before writing: its
-values are finite by construction, so only labels could read back wrong.
+``save_measure_family`` runs the reader over a probe of the space instead,
+before writing: its values are finite by construction, so only labels
+could read back wrong.
 
 A table's rows are read by a fast loop that takes only rows of the exact
 form ``label,label,gender,label,value`` with labels from the space's own
@@ -39,7 +40,8 @@ from ``load_counts`` holds these checked columns, and ``estimate_measures``
 sums them in one ``np.bincount``; the table's ``rows``, one ``CountRow``
 per file row, are built from them on first access, once.  A table built
 as ``CountsTable(space, rows)`` is turned into columns by a per-row loop
-that checks each count and label, as before.
+that checks each count and label.  Both per-row loops resolve a row's
+labels to its cell through one helper, ``_row_cell``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .errors import (
 )
 from .genotype import GENDERS, GenotypeSpace, build_space
 from .operators import (TABLE_TOL, MeasureFamily, ValidationReport, _check_gender_gap, _frozen,
-                        _read_only, _rebuilt)
+                        _pair_label, _read_only, _rebuilt)
 
 MEASURE_HEADER = "mother,father,child_gender,child_type,value"
 COUNTS_HEADER = "mother,father,child_gender,child_type,count"
@@ -163,15 +165,11 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
     seen[cells // space.total] = True
     if not seen.all():
         i, j = divmod(int(np.argmin(seen)), m)
-        raise MissingParentPair(
-            f"no rows for pair ({space.trait_label(i)} x {space.trait_label(j)})"
-        )
+        raise MissingParentPair(f"no rows for pair ({_pair_label(space, i, j)})")
     totals = acc.sum(axis=2)
     if np.any(totals <= 0):
         i, j = map(int, np.argwhere(totals <= 0)[0])
-        raise ZeroTotal(
-            f"pair ({space.trait_label(i)} x {space.trait_label(j)}) has zero total count"
-        )
+        raise ZeroTotal(f"pair ({_pair_label(space, i, j)}) has zero total count")
     mu = acc / totals[:, :, None]
     if symmetrize:
         pooled = 0.5 * (mu[:, :, :m] + mu[:, :, m:])
@@ -185,20 +183,11 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
 def _row_columns(space: GenotypeSpace, rows) -> tuple[np.ndarray, np.ndarray]:
     """The cell and count columns of in-memory rows, checking each row's
     count and then its labels in row order."""
-    m = space.m
-    _, index = space.label_table
-    offsets = {gender: g * m for g, gender in enumerate(GENDERS)}
     cells = []
     values = []
     for row in rows:
         _check_count(row)
-        i = index.get(row.mother)
-        j = index.get(row.father)
-        offset = offsets.get(row.child_gender)
-        t = index.get(row.child_type)
-        if i is None or j is None or offset is None or t is None:
-            _check_labels(space, row.mother, row.father, row.child_gender, row.child_type)
-        cells.append((i * m + j) * space.total + offset + t)
+        cells.append(_row_cell(space, row.mother, row.father, row.child_gender, row.child_type))
         values.append(row.count)
     return _read_only_columns(cells, values)
 
@@ -255,9 +244,13 @@ def _value_error(line_no: int, raw_line: str, what: str) -> ParseError:
     return ParseError(f"line {line_no}, column {column}: {what}", line=line_no, column=column)
 
 
-def _check_labels(space: GenotypeSpace, mother: str, father: str, gender: str,
-                  child: str) -> None:
-    """Raise ``ValueError`` for the first unknown label or gender of a row."""
+def _row_cell(space: GenotypeSpace, mother: str, father: str, gender: str, child: str) -> int:
+    """The flat cell ``(i * m + j) * total + s`` of a row's labels; ``ValueError``
+    for the first unknown label or gender, in column order."""
+    m, index = space.m, space.label_table[1]
+    if mother in index and father in index and gender in GENDERS and child in index:
+        return ((index[mother] * m + index[father]) * 2 + GENDERS.index(gender)) * m + index[child]
+    # one of the four is unknown: raise for the first
     space.trait_index_of_label(mother)
     space.trait_index_of_label(father)
     if gender not in GENDERS:
@@ -298,9 +291,7 @@ def _parse_rows(space: GenotypeSpace, lines: list[str], start: int, nonnegative:
     non-negative when ``nonnegative``, no repeated cell, contiguous parent
     pairs), so the first faulty line is the one reported.
     """
-    m, total = space.m, space.total
-    _, index = space.label_table
-    offsets = {gender: g * m for g, gender in enumerate(GENDERS)}
+    total = space.total
     cells = []
     values = []
     seen_cells: set[int] = set()
@@ -320,17 +311,11 @@ def _parse_rows(space: GenotypeSpace, lines: list[str], start: int, nonnegative:
             raise SchemaError(
                 f"line {line_no}: expected 5 comma-separated fields, got {len(fields)}"
             )
-        fields = [f.strip() for f in fields]
-        mother, father, gender, child, value = fields
-        i = index.get(mother)
-        j = index.get(father)
-        offset = offsets.get(gender)
-        t = index.get(child)
-        if i is None or j is None or offset is None or t is None:
-            try:
-                _check_labels(space, mother, father, gender, child)
-            except ValueError as exc:
-                raise SchemaError(f"line {line_no}: {exc}") from exc
+        mother, father, gender, child, value = [f.strip() for f in fields]
+        try:
+            cell = _row_cell(space, mother, father, gender, child)
+        except ValueError as exc:
+            raise SchemaError(f"line {line_no}: {exc}") from exc
         try:
             v = float(value)
         except ValueError as exc:
@@ -339,16 +324,15 @@ def _parse_rows(space: GenotypeSpace, lines: list[str], start: int, nonnegative:
             raise _value_error(line_no, line, f"{value!r} is not a finite number")
         if nonnegative and v < 0:
             raise InvariantViolation(f"line {line_no}: negative count {v}")
-        pair = i * m + j
-        cell = pair * total + offset + t
+        pair, s = divmod(cell, total)
         if cell in seen_cells:
-            raise SchemaError(
-                f"line {line_no}: duplicate row for pair {(i, j)}, child {offset + t}"
-            )
+            raise SchemaError(f"line {line_no}: duplicate row for pair "
+                              f"{divmod(pair, space.m)}, child {s}")
         seen_cells.add(cell)
         if pair != current:
             if pair in pairs:
-                raise SchemaError(f"rows for parent pair {(i, j)} are not contiguous")
+                raise SchemaError(f"rows for parent pair {divmod(pair, space.m)} "
+                                  "are not contiguous")
             pairs.add(pair)
             current = pair
         cells.append(cell)
@@ -456,25 +440,24 @@ def load_measure_family(path, tol: float = TABLE_TOL) -> MeasureFamily:
 def _check_space_reads_back(space: GenotypeSpace) -> None:
     """Raise ``ValueError`` unless a file of ``space`` reads back as ``space``.
 
-    Its ``# space:`` line must parse to it, every trait label must resolve
-    (an allele holding ``|`` makes its labels ambiguous), no allele may hold
-    a line break, and no row may start with ``#``, which reads as a comment.
-    """
+    The reader runs over a probe: the ``# space:`` line, the header and one
+    row per trait label, as mother, father and child.  Every row of a file
+    is made of these labels in these columns, so the file reads back
+    exactly when the probe reads back as ``space`` with those cells."""
+    labels, _ = space.label_table
+    lines = [f"# space: {_format_space(space)}", MEASURE_HEADER]
+    lines += [f"{label},{label},f,{label},0" for label in labels]
     try:
-        same = _parse_space(_format_space(space), 1) == space
-    except SchemaError:
-        same = False
-    faults = [
-        (not same, "its '# space:' line reads as another space"),
-        (len(space.label_table[1]) != space.m, "an allele holds '|'"),
-        (any("\r" in a or "\n" in a for comp in space.components for a in comp),
-         "an allele holds a line break"),
-        (any(a.startswith("#") for a in space.components[0]),
-         "a first-component allele starts with '#'"),
-    ]
-    for fault, reason in faults:
-        if fault:
-            raise ValueError(f"space {space.components!r} would not read back: {reason}")
+        read, cells, _ = _parse_table(_split_lines("\n".join(lines)), MEASURE_HEADER)
+    except QsoError as exc:
+        reason = str(exc)
+    else:
+        t = np.arange(space.m)
+        if read == space and np.array_equal(cells, (t * space.m + t) * space.total + t):
+            return
+        reason = (f"its '# space:' line reads as {read.components!r}" if read != space
+                  else f"{cells.size} of its {space.m} probe rows read back")
+    raise ValueError(f"space {space.components!r} would not read back: {reason}")
 
 
 def save_measure_family(family: MeasureFamily, path) -> None:

@@ -459,7 +459,7 @@ def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> He
     if missing:
         i, j = missing[0]
         raise MissingPair(
-            f"no measure for pair ({space.trait_label(i)} x {space.trait_label(j)})"
+            f"no measure for pair ({_pair_label(space, i, j)})"
             + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
         )
     _check_gender_gap(family.mu, AsymmetricMeasure, "family female/male child values differ by {}")

@@ -318,6 +318,47 @@ def test_save_measure_family_refuses_a_space_that_reads_back_differently(tmp_pat
     assert not path.exists()
 
 
+def write_family_unchecked(family, path):
+    """The measure-family file format with no check at all.  Values go
+    through ``float`` first: the repr of an ``np.float64`` is not a number
+    the reader takes."""
+    space = family.space
+    labels = space.label_table[0]
+    children = [f"{g},{label}" for g in GENDERS for label in labels]
+    lines = [f"# space: {';'.join(','.join(c) for c in space.components)}",
+             "mother,father,child_gender,child_type,value"]
+    lines += [f"{labels[i]},{labels[j]},{child},{float(v)!r}"
+              for i in range(space.m) for j in range(space.m)
+              for child, v in zip(children, family.mu[i, j])]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+ALLELE = st.text(alphabet="ab,;|# \n\r\t", max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(components=st.lists(st.lists(ALLELE, min_size=1, max_size=3, unique=True),
+                           min_size=1, max_size=2))
+def test_save_measure_family_refuses_exactly_the_spaces_that_read_back_differently(components):
+    family = qso.MeasureFamily.uniform(build_space(components))
+    with tempfile.TemporaryDirectory() as tmp:
+        unchecked = Path(tmp) / "unchecked.csv"
+        write_family_unchecked(family, unchecked)
+        try:
+            loaded = load_measure_family(unchecked)
+            reads_back = loaded.space == family.space and np.array_equal(loaded.mu, family.mu)
+        except QsoError:
+            reads_back = False
+        path = Path(tmp) / "family.csv"
+        if reads_back:
+            save_measure_family(family, path)
+            assert path.read_text(encoding="utf-8") == unchecked.read_text(encoding="utf-8")
+        else:
+            with pytest.raises(ValueError, match="would not read back"):
+                save_measure_family(family, path)
+            assert not path.exists()
+
+
 def test_load_accepts_crlf(tmp_path):
     path = tmp_path / "family.csv"
     save_measure_family(qso.rh_measure_family(), path)
