@@ -63,13 +63,13 @@ neutral rather than attracting.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import operators
 from .errors import AlphaOutOfRange, InvalidCoefficients, NoConvergence
+from .genotype import _integer
 from .operators import (_DEGENERATE_TOL, _NEWTON_FLOOR, CLASSIFY_MARGIN, ROUNDING_TOL,
                         ReducedDistribution, ReducedQso, _frozen, _read_only, _rebuilt,
                         _stepper, reduced_step)
@@ -222,15 +222,8 @@ def _check_solver_args(q: ReducedQso, y0: ReducedDistribution, tol: float, max_i
                        stride: int = 1) -> None:
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
-    for name, value in (("max_iters", max_iters), ("stride", stride)):
-        try:
-            operator.index(value)  # NumPy integers and bools pass; 1e3 and inf do not
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if max_iters < 0:
-        raise ValueError("max_iters must be >= 0")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    _integer(max_iters, "max_iters", 0)
+    _integer(stride, "stride", 1)
     if y0.n != q.n:
         raise ValueError(f"start has {y0.n} types, operator expects {q.n}")
 

@@ -11,12 +11,25 @@ exchanges the genders of otherwise identical genotypes.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DuplicateLabel, EmptyComponent
 
 GENDERS = ("f", "m")
+
+
+def _integer(value, what: str, low: int | None = None) -> int:
+    """``value`` as an ``int``, else ``ValueError`` naming it: NumPy integers and
+    bools pass, 2.0 and inf do not.  Below ``low``, when given, is an error too."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -29,7 +42,7 @@ class Genotype:
     def __post_init__(self):
         if self.gender not in GENDERS:
             raise ValueError(f"gender must be one of {GENDERS}, got {self.gender!r}")
-        object.__setattr__(self, "traits", tuple(int(t) for t in self.traits))
+        object.__setattr__(self, "traits", tuple(_integer(t, "allele index") for t in self.traits))
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,7 @@ class GenotypeSpace:
             )
         rank = 0
         for allele, comp in zip(traits, self.components):
+            allele = _integer(allele, "allele index")
             if not 0 <= allele < len(comp):
                 raise ValueError(f"allele index {allele} out of range for {comp}")
             rank = rank * len(comp) + allele
@@ -77,6 +91,7 @@ class GenotypeSpace:
 
     def traits_of(self, trait_index: int) -> tuple[int, ...]:
         """Inverse of :meth:`trait_index`."""
+        trait_index = _integer(trait_index, "trait index")
         if not 0 <= trait_index < self.m:
             raise ValueError(f"trait index {trait_index} out of range")
         out = []
@@ -90,13 +105,14 @@ class GenotypeSpace:
         return GENDERS.index(genotype.gender) * self.m + self.trait_index(genotype.traits)
 
     def genotype(self, index: int) -> Genotype:
+        index = _integer(index, "genotype index")
         if not 0 <= index < self.total:
             raise ValueError(f"genotype index {index} out of range")
         return Genotype(GENDERS[index // self.m], self.traits_of(index % self.m))
 
     def mirror(self, index: int) -> int:
         """Index of the opposite-gender genotype with identical traits."""
-        return (index + self.m) % self.total
+        return (_integer(index, "genotype index") + self.m) % self.total
 
     @cached_property
     def label_table(self) -> tuple[tuple[str, ...], dict[str, int]]:
@@ -113,6 +129,7 @@ class GenotypeSpace:
 
     def trait_label(self, trait_index: int) -> str:
         """Human-readable label of a trait combination (alleles joined by '|')."""
+        trait_index = _integer(trait_index, "trait index")
         if not 0 <= trait_index < self.m:
             raise ValueError(f"trait index {trait_index} out of range")
         return self.label_table[0][trait_index]

@@ -4,7 +4,8 @@ Both file kinds share one CSV dialect: a leading ``# space:`` line
 declaring the trait components, a fixed header, then one row per
 (mother, father, child) entry.  Components are separated by ``;`` and
 allele labels by ``,``; multi-component trait labels join alleles with
-``|``.  UTF-8, LF or CRLF, decimal point only; values must be finite.
+``|``.  UTF-8, LF or CRLF; values are read by Python's ``float`` (so
+``1_000`` and non-ASCII decimal digits load, ``0x1`` does not) and must be finite.
 
     # space: +,-
     mother,father,child_gender,child_type,value
@@ -88,8 +89,8 @@ class CountsTable:
 
     A table that ``load_counts`` returns holds the file's checked cell
     indices and counts as two read-only columns, and builds ``rows`` from
-    them, in file order, on first access, once.  It equals, hashes, prints,
-    pickles and copies as the table ``CountsTable(space, rows)``.
+    them, in file order, on first access, once.  It equals, hashes and prints
+    as the table ``CountsTable(space, rows)``, and its copy is that table.
     """
 
     space: GenotypeSpace
@@ -105,19 +106,7 @@ class CountsTable:
         # setdefault: every caller gets the one tuple that is kept
         return vars(self).setdefault("rows", _count_rows(self.space, *columns))
 
-    def __reduce__(self):
-        columns = vars(self).get("_columns")
-        if columns is None:
-            return _rebuilt(self)
-        return _loaded_table, (self.space, *columns)
-
-
-def _loaded_table(space: GenotypeSpace, cells: np.ndarray, values: np.ndarray) -> CountsTable:
-    """A table that holds a reader's checked ``cells`` and ``values`` columns."""
-    table = object.__new__(CountsTable)
-    object.__setattr__(table, "space", space)
-    object.__setattr__(table, "_columns", _read_only_columns(cells, values))
-    return table
+    __reduce__ = _rebuilt
 
 
 def _count_rows(space: GenotypeSpace, cells: np.ndarray,
@@ -406,7 +395,12 @@ def load_counts(path) -> CountsTable:
 
 
 def _counts_table(lines: list[str]) -> CountsTable:
-    return _loaded_table(*_parse_table(lines, COUNTS_HEADER, nonnegative=True))
+    """A table that holds the reader's checked, read-only columns as they come."""
+    space, *columns = _parse_table(lines, COUNTS_HEADER, nonnegative=True)
+    table = object.__new__(CountsTable)
+    object.__setattr__(table, "space", space)
+    object.__setattr__(table, "_columns", tuple(columns))
+    return table
 
 
 def read_measure_family(path) -> MeasureFamily:

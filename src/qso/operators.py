@@ -83,9 +83,9 @@ at n = 64, 18.7 ms at n = 128) and the compiled block (0.1-1 ms), kept as
 ``_table`` and ``_block``, each None where its path does not apply.  They
 are outside the dataclass fields, so they take no part in ``==`` or
 ``repr``, and together they name the operator's step path.  Every value
-type pickles and copies through its constructor (``_rebuilt``), since a
-function made by ``exec`` cannot be pickled: the copy's arrays are checked
-and stored read-only again, and an operator rebuilds its table and block.
+type, count tables too, pickles and copies through its constructor
+(``_rebuilt``), as a function made by ``exec`` cannot be pickled: a copy's
+arrays are checked and read-only again, and an operator rebuilds its kernels.
 
 All types are immutable after construction, and all operations are pure;
 each step owns its scratch buffers, so everything here is safe to share
@@ -110,7 +110,7 @@ from .errors import (
     NotOneToOne,
     ZeroMassOffspringSet,
 )
-from .genotype import Genotype, GenotypeSpace
+from .genotype import Genotype, GenotypeSpace, _integer
 
 # Every tolerance the package's checks and solvers use.
 ROUNDING_TOL = 1e-12  # exact identities up to rounding: p + q = 1, symmetry, >= 0, roots
@@ -360,8 +360,8 @@ class HeredityTensor:
 
     ``coefficients[i, j, s]``: mother of trait ``i``, father of trait
     ``j``, child genotype index ``s``.  ``support`` (optional boolean
-    mask of the same shape) records where coefficients are allowed to be
-    nonzero; construction from offspring-set rules fills it in.
+    mask of the same shape) records where coefficients may be nonzero;
+    ``None`` excludes no child, as ``nonmendelian_coefficients`` leaves it.
     """
 
     space: GenotypeSpace
@@ -463,14 +463,12 @@ def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> He
             + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
         )
     _check_gender_gap(family.mu, AsymmetricMeasure, "family female/male child values differ by {}")
-    sums = family.mu.sum(axis=2)
-    worst = np.abs(sums - 1.0).max()
+    worst = np.abs(family.mu.sum(axis=2) - 1.0).max()
     if worst > TABLE_TOL:
         raise ValueError(
             f"measure rows deviate from unit mass by {worst}; renormalize first"
         )
-    return HeredityTensor(space, (0.5, 0.5), _frozen(2.0 * family.mu),
-                          _frozen(np.ones(family.mu.shape, dtype=bool)))
+    return HeredityTensor(space, (0.5, 0.5), _frozen(2.0 * family.mu))
 
 
 def _pair_violations(space: GenotypeSpace, rows: np.ndarray, tol: float,
@@ -568,6 +566,7 @@ class ReducedQso:
     __reduce__ = _rebuilt
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
         arr = _checked(self, "p", (self.n, self.n, self.n), "reduced coefficient")
         if arr.min() < -ROUNDING_TOL:
             raise ValueError(f"negative reduced coefficient {arr.min()}")

@@ -260,6 +260,23 @@ def test_validate_pq_matches_per_pair_loop_on_published_tables():
     assert len(flagged.violations) == 4
 
 
+def test_nonmendelian_tensor_has_no_support_and_reports_as_an_all_true_mask():
+    gen = rng(40)
+    space = build_space([("x", "y", "z"), ("B", "b")])
+    cases = [(qso.rh_measure_family(), 1e-9), (qso.abo_measure_family(), 1e-6),
+             (qso.abo_measure_family(), 1e-3)]
+    cases += [(random_symmetric_family(gen, space), tol) for tol in (1e-9, 1e-6)]
+    for family, tol in cases:
+        t = nonmendelian_coefficients(family.space, family)
+        assert t.support is None
+        everywhere = np.ones(t.coefficients.shape, dtype=bool)
+        for coeffs in (t.coefficients, perturbed(gen, t.coefficients, 8)):
+            report = validate_pq(HeredityTensor(t.space, t.p_ratio, coeffs), tol)
+            masked = validate_pq(HeredityTensor(t.space, t.p_ratio, coeffs, everywhere), tol)
+            assert report == masked
+            assert_same_violations(report.violations, masked.violations)
+
+
 # --- MeasureFamily.validate ----------------------------------------------------
 
 def assert_family_validate_matches(family, tol):

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +50,38 @@ def test_multi_component_enumeration_is_lexicographic():
     for k in range(space.total):
         assert space.index(space.genotype(k)) == k
         assert space.mirror(space.mirror(k)) == k
+
+
+NOT_INTEGERS = [0.9, 1.0, 2.5, float("inf"), "1", None]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_every_index_must_be_an_integer(bad):
+    space = build_space([["A", "a", "o"]])
+    got = re.escape(f"must be an integer, got {bad!r}")
+    with pytest.raises(ValueError, match="allele index " + got):
+        Genotype("f", (bad,))
+    with pytest.raises(ValueError, match="allele index " + got):
+        space.trait_index((bad,))
+    for method in (space.traits_of, space.trait_label):
+        with pytest.raises(ValueError, match="trait index " + got):
+            method(bad)
+    for method in (space.genotype, space.label, space.mirror):
+        with pytest.raises(ValueError, match="genotype index " + got):
+            method(bad)
+
+
+def test_numpy_integer_and_bool_indices_read_as_ints():
+    space = build_space([["A", "a", "o"]])
+    g = Genotype("m", (np.int64(1),))
+    assert g == Genotype("m", (1,)) and type(g.traits[0]) is int
+    assert Genotype("f", (True,)) == Genotype("f", (1,))
+    assert space.trait_index((np.int64(2),)) == 2
+    assert space.traits_of(np.int64(2)) == (2,)
+    assert space.genotype(np.int64(4)) == g
+    assert space.trait_label(np.int32(1)) == "a"
+    assert space.label(np.int64(5)) == "(m,o)"
+    assert space.mirror(np.int64(1)) == 4
 
 
 ALLELE = st.text(alphabet="ab|", min_size=1, max_size=3)

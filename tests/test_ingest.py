@@ -24,7 +24,7 @@ from qso import (
     save_counts,
     save_measure_family,
 )
-from qso import ingest
+from qso import ingest, operators
 from qso.cli import main
 from qso.errors import (
     AsymmetricMeasure,
@@ -656,13 +656,53 @@ def test_loaded_table_copies_and_freezes_as_a_rows_built_table(tmp_path, how, re
         with pytest.raises(dataclasses.FrozenInstanceError):
             del copied.rows
         assert dataclasses.replace(copied) == built
-    for table in (loaded, COPIES[how](loaded)):  # a loaded table's copy holds columns
-        cells, values = vars(table)["_columns"]
-        assert not (cells.flags.writeable or values.flags.writeable)
+    cells, values = vars(loaded)["_columns"]
+    assert not (cells.flags.writeable or values.flags.writeable)
+    copied = COPIES[how](loaded)  # a loaded table's copy is rows-built
+    assert "_columns" not in vars(copied) and copied == loaded
     with pytest.raises(dataclasses.FrozenInstanceError):
         load(tmp_path, "rh").rows = ()  # before its rows are built too
     with pytest.raises(AttributeError, match="has no attribute 'cells'"):
         loaded.cells
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("name", sorted(LOADED))
+def test_loaded_table_copies_through_the_constructor(tmp_path, how, name):
+    assert CountsTable.__reduce__ is operators._rebuilt
+    assert not hasattr(ingest, "_loaded_table")
+    loaded = load(tmp_path, name)
+    copied = COPIES[how](loaded)
+    assert type(copied) is CountsTable and "_columns" not in vars(copied)
+    assert copied == loaded and hash(copied) == hash(loaded) and repr(copied) == repr(loaded)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copied.rows = ()
+    for symmetrize in (False, True):
+        try:
+            expected = estimate_measures(loaded.space, loaded, symmetrize).mu.tobytes()
+        except AsymmetricMeasure:
+            with pytest.raises(AsymmetricMeasure):
+                estimate_measures(copied.space, copied, symmetrize)
+            continue
+        assert estimate_measures(copied.space, copied, symmetrize).mu.tobytes() == expected
+
+
+@pytest.mark.parametrize("literal, value", [("1_000", 1000.0), ("\u0661\u0662", 12.0),
+                                            ("1e3", 1000.0), (".5", 0.5), ("+2", 2.0)])
+def test_counts_values_read_as_python_float_reads_them(tmp_path, literal, value):
+    path = tmp_path / "counts.csv"
+    path.write_text(RH_COUNTS.replace("+,+,f,-,15", f"+,+,f,-,{literal}"), encoding="utf-8")
+    rows = {(r.mother, r.father, r.child_gender, r.child_type): r.count
+            for r in load_counts(path).rows}
+    assert rows["+", "+", "f", "-"] == value
+
+
+@pytest.mark.parametrize("literal, error", [("0x1", ParseError), ("1,5", SchemaError)])
+def test_counts_values_python_float_rejects_are_errors(tmp_path, literal, error):
+    path = tmp_path / "counts.csv"
+    path.write_text(RH_COUNTS.replace("+,+,f,-,15", f"+,+,f,-,{literal}"), encoding="utf-8")
+    with pytest.raises(error):
+        load_counts(path)
 
 
 # --- fuzzed files ------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -387,6 +388,26 @@ def test_reduced_qso_rejects_non_finite(bad):
     p[1, 0, 1] = p[0, 1, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         qso.ReducedQso(2, p)
+
+
+@pytest.mark.parametrize("n, p, message", [
+    (2.0, qso.rh_model()[0].p, "n must be an integer, got 2.0"),
+    ("2", qso.rh_model()[0].p, "n must be an integer, got '2'"),
+    (0, np.zeros((0, 0, 0)), "n must be >= 1"),
+    (-1, np.zeros((0, 0, 0)), "n must be >= 1")])
+def test_reduced_qso_rejects_an_n_that_is_not_a_positive_integer(n, p, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        qso.ReducedQso(n, p)
+
+
+def test_reduced_qso_stores_an_integer_n_as_an_int():
+    p = qso.rh_model()[0].p
+    for n in (2, np.int64(2)):
+        q = qso.ReducedQso(n, p)
+        assert type(q.n) is int and q.n == 2
+        assert apply_reduced(q, ReducedDistribution([0.5, 0.5])).n == 2
+    one = qso.ReducedQso(True, np.ones((1, 1, 1)))
+    assert type(one.n) is int and one.n == 1
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
