@@ -384,6 +384,7 @@ def regularity_check(q: ReducedQso) -> RegularityReport:
 def f_alpha(alpha: float, x) -> float | np.ndarray:
     """The one-variable conjugate of the two-type trait operator on [0, 1/2]:
     ``2 (1 - 4 alpha) x^2 + 4 alpha x``."""
+    _check_alpha(alpha)
     return 2.0 * (1.0 - 4.0 * alpha) * np.asarray(x) ** 2 + 4.0 * alpha * np.asarray(x)
 
 

@@ -32,6 +32,15 @@ def _integer(value, what: str, low: int | None = None) -> int:
     return value
 
 
+def _index(value, size: int, what: str, of=None) -> int:
+    """``value`` as an ``int`` in ``[0, size)``, else ``ValueError`` naming it
+    (and ``of``, when given) as :func:`_integer` does."""
+    value = _integer(value, what)
+    if not 0 <= value < size:
+        raise ValueError(f"{what} {value} out of range" + ("" if of is None else f" for {of}"))
+    return value
+
+
 @dataclass(frozen=True)
 class Genotype:
     """A gender plus one allele index per trait component."""
@@ -83,17 +92,12 @@ class GenotypeSpace:
             )
         rank = 0
         for allele, comp in zip(traits, self.components):
-            allele = _integer(allele, "allele index")
-            if not 0 <= allele < len(comp):
-                raise ValueError(f"allele index {allele} out of range for {comp}")
-            rank = rank * len(comp) + allele
+            rank = rank * len(comp) + _index(allele, len(comp), "allele index", comp)
         return rank
 
     def traits_of(self, trait_index: int) -> tuple[int, ...]:
         """Inverse of :meth:`trait_index`."""
-        trait_index = _integer(trait_index, "trait index")
-        if not 0 <= trait_index < self.m:
-            raise ValueError(f"trait index {trait_index} out of range")
+        trait_index = _index(trait_index, self.m, "trait index")
         out = []
         for comp in reversed(self.components):
             out.append(trait_index % len(comp))
@@ -105,14 +109,12 @@ class GenotypeSpace:
         return GENDERS.index(genotype.gender) * self.m + self.trait_index(genotype.traits)
 
     def genotype(self, index: int) -> Genotype:
-        index = _integer(index, "genotype index")
-        if not 0 <= index < self.total:
-            raise ValueError(f"genotype index {index} out of range")
+        index = _index(index, self.total, "genotype index")
         return Genotype(GENDERS[index // self.m], self.traits_of(index % self.m))
 
     def mirror(self, index: int) -> int:
         """Index of the opposite-gender genotype with identical traits."""
-        return (_integer(index, "genotype index") + self.m) % self.total
+        return (_index(index, self.total, "genotype index") + self.m) % self.total
 
     @cached_property
     def label_table(self) -> tuple[tuple[str, ...], dict[str, int]]:
@@ -129,10 +131,7 @@ class GenotypeSpace:
 
     def trait_label(self, trait_index: int) -> str:
         """Human-readable label of a trait combination (alleles joined by '|')."""
-        trait_index = _integer(trait_index, "trait index")
-        if not 0 <= trait_index < self.m:
-            raise ValueError(f"trait index {trait_index} out of range")
-        return self.label_table[0][trait_index]
+        return self.label_table[0][_index(trait_index, self.m, "trait index")]
 
     def trait_index_of_label(self, label: str) -> int:
         index = self.label_table[1].get(label)

@@ -220,16 +220,9 @@ def _read_lines(path) -> list[str]:
     return _split_lines(text)
 
 
-def _field_column(line: str, field_index: int) -> int:
-    """1-based character offset of a comma-separated field."""
-    col = 0
-    for _ in range(field_index):
-        col = line.index(",", col) + 1
-    return col + 1
-
-
 def _value_error(line_no: int, raw_line: str, what: str) -> ParseError:
-    column = _field_column(raw_line, 4)
+    """``what`` at the value field of a row that splits into five fields."""
+    column = raw_line.rindex(",") + 2
     return ParseError(f"line {line_no}, column {column}: {what}", line=line_no, column=column)
 
 

@@ -199,6 +199,25 @@ def _check_gender_gap(values: np.ndarray, error: type[Exception], message: str) 
         raise error(message.format(gap))
 
 
+def _check_ratio(p_ratio: tuple[float, float], error: type[Exception]) -> tuple[float, float]:
+    """``p_ratio`` itself if it is a sex ratio, 0 < p, q < 1 with p + q = 1 to
+    ``ROUNDING_TOL``, else ``error``."""
+    p, q = p_ratio
+    if not (0.0 < p < 1.0 and 0.0 < q < 1.0 and abs(p + q - 1.0) <= ROUNDING_TOL):
+        raise error(f"invalid sex ratio p={p}, q={q}: need 0 < p, q < 1 and p + q = 1")
+    return p, q
+
+
+def _check_simplex(vals: np.ndarray, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``vals`` lies on the simplex: no entry below
+    ``-ROUNDING_TOL`` and a total within ``MASS_TOL`` of 1."""
+    if vals.min() < -ROUNDING_TOL:
+        raise error(f"negative probability {vals.min()} at index {int(vals.argmin())}")
+    total = vals.sum()
+    if abs(total - 1.0) > MASS_TOL:
+        raise error(f"total mass {total} != 1")
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A probability distribution over all genotypes of a space, constrained
@@ -213,18 +232,8 @@ class Distribution:
     def __post_init__(self):
         vals = _checked(self, "values", (self.space.total,), "probability",
                         DistributionOutsideHyperSimplex)
-        p, q = self.p_ratio
-        if not (0.0 < p < 1.0 and abs(p + q - 1.0) <= MASS_TOL):
-            raise DistributionOutsideHyperSimplex(
-                f"invalid sex ratio p={p}, q={q}: need 0 < p < 1 and p + q = 1"
-            )
-        if vals.min() < -ROUNDING_TOL:
-            raise DistributionOutsideHyperSimplex(
-                f"negative probability {vals.min()} at index {int(vals.argmin())}"
-            )
-        total = vals.sum()
-        if abs(total - 1.0) > MASS_TOL:
-            raise DistributionOutsideHyperSimplex(f"total mass {total} != 1")
+        p, _ = _check_ratio(self.p_ratio, DistributionOutsideHyperSimplex)
+        _check_simplex(vals, DistributionOutsideHyperSimplex)
         fem = vals[: self.space.m].sum()
         if abs(fem - p) > MASS_TOL:
             raise DistributionOutsideHyperSimplex(
@@ -375,9 +384,7 @@ class HeredityTensor:
         _checked(self, "coefficients", shape, "coefficient")
         if self.support is not None:
             _checked(self, "support", shape, "support", dtype=bool)
-        p, q = self.p_ratio
-        if not (0.0 < p < 1.0 and 0.0 < q < 1.0 and abs(p + q - 1.0) <= ROUNDING_TOL):
-            raise ValueError(f"invalid p:q ratio ({p}, {q})")
+        _check_ratio(self.p_ratio, ValueError)
 
     @property
     def pair_sum(self) -> float:
@@ -593,14 +600,11 @@ class ReducedDistribution:
     __reduce__ = _rebuilt
 
     def __post_init__(self):
-        vals = _checked(self, "values", None, "probability")
-        if vals.min() < -ROUNDING_TOL:
-            raise ValueError(f"negative probability {vals.min()}")
-        if abs(vals.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"total mass {vals.sum()} != 1")
+        _check_simplex(_checked(self, "values", None, "probability"), ValueError)
 
     @classmethod
     def uniform(cls, n: int) -> "ReducedDistribution":
+        n = _integer(n, "n", 1)
         return cls(_frozen(np.full(n, 1.0 / n)))
 
     @property

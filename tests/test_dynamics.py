@@ -300,6 +300,8 @@ def test_analyze_f_alpha_out_of_range():
     for bad in (0.0, 0.5, -0.2, 0.7):
         with pytest.raises(AlphaOutOfRange):
             analyze_f_alpha(bad)
+        with pytest.raises(AlphaOutOfRange):
+            f_alpha(bad, 0.2)
 
 
 def test_analyze_quadratic_rh_published_values():

@@ -127,6 +127,10 @@ def test_indices_outside_the_space_keep_their_messages():
     for bad in (space.total, -1):
         with pytest.raises(ValueError, match=f"genotype index {bad} out of range"):
             space.genotype(bad)
+        with pytest.raises(ValueError, match=f"genotype index {bad} out of range"):
+            space.mirror(bad)
+    with pytest.raises(ValueError, match="genotype index 7 out of range"):
+        build_space([["A", "a"]]).mirror(7)  # (7 + 2) % 4 would be a valid index
 
 
 def test_label_table_leaves_equality_and_hash_alone():

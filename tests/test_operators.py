@@ -394,10 +394,14 @@ def test_reduced_qso_rejects_non_finite(bad):
     (2.0, qso.rh_model()[0].p, "n must be an integer, got 2.0"),
     ("2", qso.rh_model()[0].p, "n must be an integer, got '2'"),
     (0, np.zeros((0, 0, 0)), "n must be >= 1"),
-    (-1, np.zeros((0, 0, 0)), "n must be >= 1")])
+    (-1, np.zeros((0, 0, 0)), "n must be >= 1"),
+    # p None: ReducedDistribution.uniform(n), which takes n by the same rule
+    (0, None, "n must be >= 1"),
+    (-1, None, "n must be >= 1"),
+    (2.0, None, "n must be an integer, got 2.0")])
 def test_reduced_qso_rejects_an_n_that_is_not_a_positive_integer(n, p, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        qso.ReducedQso(n, p)
+        qso.ReducedQso(n, p) if p is not None else ReducedDistribution.uniform(n)
 
 
 def test_reduced_qso_stores_an_integer_n_as_an_int():
@@ -593,6 +597,12 @@ REJECTED = {
     "distribution sex ratio": (
         lambda: Distribution(TRAIT, [0.25] * 4, (1.0, 0.0)),
         DistributionOutsideHyperSimplex, r"invalid sex ratio p=1.0, q=0.0"),
+    "distribution with no male share": (
+        lambda: Distribution(TRAIT, [0.5, 0.5, 0.0, 0.0], (1 - 1e-12, 0.0)),
+        DistributionOutsideHyperSimplex, r"invalid sex ratio p=0.999999999999, q=0.0"),
+    "distribution ratio off by 1e-10": (
+        lambda: Distribution(TRAIT, [0.25] * 4, (0.5, 0.5 + 1e-10)),
+        DistributionOutsideHyperSimplex, r"invalid sex ratio p=0.5, q=0.5000000001"),
     "distribution female mass": (
         lambda: Distribution(TRAIT, [0.3, 0.3, 0.2, 0.2]),
         DistributionOutsideHyperSimplex, r"female mass 0.6 != 0.5 \(male mass 0.4\)"),
@@ -601,7 +611,7 @@ REJECTED = {
         ZeroMassOffspringSet, "cannot renormalize a zero-mass measure row"),
     "tensor p:q": (
         lambda: HeredityTensor(RH, (0.6, 0.6), rh_tensor().coefficients),
-        ValueError, r"invalid p:q ratio \(0.6, 0.6\)"),
+        ValueError, r"invalid sex ratio p=0.6, q=0.6: need 0 < p, q < 1 and p \+ q = 1"),
     "coefficient of a (male, female) pair": (
         lambda: rh_tensor().coefficient(mA, fA, fA),
         ValueError, r"canonical storage indexes \(female, male\) pairs"),

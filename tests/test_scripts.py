@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +39,14 @@ def test_trait_sweep_rejects_bad_alphas_before_sweeping(alphas, message):
 ])
 def test_scripts_reject_bad_numbers_before_output(script, args, message):
     assert_rejected_before_output(script, args, message)
+
+
+def test_sources_parse_under_the_declared_python_floor():
+    """CI runs a newer Python than the oldest ``requires-python`` admits, so
+    parse every module and script with that floor's grammar: ``except*``
+    fails here."""
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    paths = sorted((ROOT / "src" / "qso").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, int(floor[1])))
