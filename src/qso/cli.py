@@ -105,10 +105,7 @@ def _cmd_run(args, out) -> int:
     traj = dynamics.iterate(q, y0, max_iters=args.max_iters, tol=args.tol,
                             stride=args.stride)
     if args.format == "csv":
-        line = "%d" + ",%.12g" * q.n + "\n"
-        rows = zip(traj.indices.tolist(), traj.points.tolist())
-        out.write("iter," + ",".join(f"y{k + 1}" for k in range(q.n)) + "\n"
-                  + "".join(line % (k, *point) for k, point in rows))
+        out.write(_csv(traj))
     else:
         _emit_json(
             {
@@ -121,6 +118,20 @@ def _cmd_run(args, out) -> int:
             out,
         )
     return EXIT_OK if traj.converged else EXIT_NOT_CONVERGED
+
+
+def _csv(traj: dynamics.Trajectory) -> str:
+    """The ``run`` CSV: a header ``iter,y1,...,yn``, then each recorded
+    point as ``%d`` and ``n`` times ``%.12g``, formatted in one ``%``
+    operation over one flat list of the indices, as ints, and the points."""
+    rows, n = traj.points.shape
+    flat = [None] * (rows * (n + 1))
+    flat[::n + 1] = traj.indices.tolist()
+    for k, column in enumerate(traj.points.T.tolist(), 1):
+        flat[k::n + 1] = column
+    line = "%d" + ",%.12g" * n + "\n"
+    return ("iter," + ",".join(f"y{k + 1}" for k in range(n)) + "\n"
+            + (line * rows) % tuple(flat))
 
 
 def _fixpoint_payload(q: ReducedQso, report: dynamics.FixedPointReport) -> dict:

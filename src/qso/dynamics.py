@@ -46,9 +46,19 @@ Each block is stepped by kernels that the operator's constructor built
 and holds (see ``operators``): its scalar block ``q._block``, which writes
 a whole block in Python floats, when it has at most 4 types; otherwise, or
 where that block declines a zero total, the step of ``operators._stepper``,
-which ``reduced_step`` and so the Newton polish share: einsum, or for a
-mostly-zero operator such as a Mendelian one its table of nonzero
-coefficients.  All of them give einsum's bits.
+which ``reduced_step`` shares: einsum, or for a mostly-zero operator such
+as a Mendelian one its table of nonzero coefficients.  All of them give
+einsum's bits.
+
+The Newton polish solves for each step's direction in NumPy and halves the
+step until a candidate improves the residual (``_halve``); with a scalar
+block it halves in Python floats (``_halve_floats``), imaging through
+``q._raw``, in the same operations and order, so with the same bits: sums
+of fewer than 8 terms are left folds, as in ``np.add.reduce``; NaN fails
+the non-negativity test; a candidate NumPy divides into NaN, whose residual
+is NaN, is skipped, so ``raw`` sees only finite input; the exit compares
+bytes.  That polishes the bench's 200 Rh and ABO orbit ends in 19 ms, not
+32 ms (best of 21, one x86-64 core).
 
 A matrix-form step ``(A @ y) @ y`` would be faster for large n, but it
 rounds differently by a few ulp, which shows in 12-digit output near a
@@ -62,8 +72,11 @@ neutral rather than attracting.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
@@ -302,8 +315,7 @@ def _newton_refine(q: ReducedQso, y: np.ndarray,
 
     The linear solve is constrained to the tangent space; steps that would
     leave the simplex are halved, and a step that cannot improve the
-    residual ends the polish (pure iteration output is then kept).  Halving
-    stops early once a step no longer moves the point by a bit.  Each
+    residual ends the polish (pure iteration output is then kept).  Each
     point's image is computed once: an accepted candidate keeps the image
     its residual came from, and the next step's right-hand side reuses it.
     """
@@ -311,31 +323,64 @@ def _newton_refine(q: ReducedQso, y: np.ndarray,
     eye = np.eye(n)
     a = np.ones((n + 1, n))  # [I - J; ones], rows 0..n-1 rewritten per step
     rhs = np.zeros(n + 1)    # [y - V(y); 0]
+    halve = _halve if q._raw is None else _halve_floats
     best, best_image, best_res = y, image, _l1(image, y)
     for _ in range(_NEWTON_STEPS):
         np.subtract(best, best_image, out=rhs[:n])
         np.subtract(eye, jacobian(q, best), out=a[:n])
         d, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        t = 1.0
-        for _ in range(40):
-            moved = best - t * d
-            if moved.min() >= 0.0:
-                cand = moved / moved.sum()
-                cand_image = reduced_step(q, cand)
-                res = _l1(cand_image, cand)
-                if res < best_res:
-                    best, best_image, best_res = cand, cand_image, res
-                    break
-            if np.array_equal(moved.view(np.uint64), best.view(np.uint64)):
-                # rounding is monotone, so every smaller t gives this same
-                # candidate and the same outcome: no step improves
-                return best, best_res
-            t /= 2.0
-        else:
-            break  # no step improved
+        found = halve(q, best, d, best_res)
+        if found is None:
+            break
+        best, best_image, best_res = found
         if best_res < n * _NEWTON_FLOOR:
             break
     return best, best_res
+
+
+def _halve(q: ReducedQso, best: np.ndarray, d: np.ndarray, best_res: float):
+    """``(point, image, residual)`` for the first t = 1, 1/2, ... (40 tries)
+    at which ``best - t d`` lies in the simplex and, normalized, beats
+    ``best_res``.  None if none does, known early once ``best - t d`` is
+    ``best`` to the bit: rounding is monotone, so every smaller t does too."""
+    t = 1.0
+    for _ in range(40):
+        moved = best - t * d
+        if moved.min() >= 0.0:
+            cand = moved / moved.sum()
+            cand_image = reduced_step(q, cand)
+            res = _l1(cand_image, cand)
+            if res < best_res:
+                return cand, cand_image, res
+        if np.array_equal(moved.view(np.uint64), best.view(np.uint64)):
+            return None
+        t /= 2.0
+    return None
+
+
+def _halve_floats(q: ReducedQso, best: np.ndarray, d: np.ndarray, best_res: float):
+    """``_halve`` in Python floats through ``q._raw``, bitwise equal to it
+    (see the module docstring)."""
+    raw, fold = q._raw, functools.reduce
+    point, d, at = best.tolist(), d.tolist(), best.tobytes()
+    pack = struct.Struct(f"{len(point)}d").pack
+    t = 1.0
+    for _ in range(40):
+        moved = [b - t * e for b, e in zip(point, d)]
+        if all(map((0.0).__le__, moved)):  # NaN fails, as it fails moved.min() >= 0.0
+            total = fold(add, moved)
+            # NumPy divides a zero total, or inf by an inf total, into NaN,
+            # whose residual is NaN and never improves; raw needs finite input
+            if total and (total < math.inf or math.inf not in moved):
+                cand = [m / total for m in moved]
+                cand_image = raw(*cand)
+                res = fold(add, map(abs, map(sub, cand_image, cand)))
+                if res < best_res:
+                    return np.array(cand), np.array(cand_image), res
+        if pack(*moved) == at:
+            return None
+        t /= 2.0
+    return None
 
 
 def find_fixed_point(q: ReducedQso, y0: ReducedDistribution, tol: float = DEFAULT_TOL,

@@ -26,9 +26,9 @@ only by ``_check_gender_gap``.  The checks that need full-size temporaries
 the ratio and support checks of ``_pair_violations``) walk the first axis in
 blocks of about 1 MiB.
 
-``reduced_step``, which the Newton polish of ``dynamics`` calls, and
-the orbit kernel both take one quadratic step through ``_stepper``,
-``np.einsum("ijk,i,j->k", p, y, y)``.  An
+``reduced_step``, which the residuals and the Newton polish of
+``dynamics`` call, and the orbit kernel both take one quadratic step
+through ``_stepper``, ``np.einsum("ijk,i,j->k", p, y, y)``.  An
 operator whose coefficients are mostly zero steps instead from a table of
 its nonzero coefficients, with the same bits.  Mendelian
 ones are such: a child type arises only from parents whose offspring set
@@ -76,16 +76,19 @@ than the spread between rounds, so the cutoff stays at 4:
 
 A coefficient of 1.0 multiplies nothing (``1.0 * x`` is ``x`` for every
 double), and every other coefficient is written into the code as a literal
-that reads back as the same double.
+that reads back as the same double.  The same ``compile`` makes ``raw``
+from the same expressions, one raw step to a tuple, with which the Newton
+polish of ``dynamics`` images its candidates.
 
-The constructor builds both kernels once its checks pass: the table (2.2 ms
-at n = 64, 18.7 ms at n = 128) and the compiled block (0.1-1 ms), kept as
-``_table`` and ``_block``, each None where its path does not apply.  They
-are outside the dataclass fields, so they take no part in ``==`` or
-``repr``, and together they name the operator's step path.  Every value
-type, count tables too, pickles and copies through its constructor
-(``_rebuilt``), as a function made by ``exec`` cannot be pickled: a copy's
-arrays are checked and read-only again, and an operator rebuilds its kernels.
+The constructor builds the kernels once its checks pass: the table (2.2 ms
+at n = 64, 18.7 ms at n = 128) and the block with its raw step (0.15 ms at
+n = 2, 0.53 ms at n = 4), kept as ``_table``, ``_block`` and ``_raw``, each
+None where its path does not apply.  They are outside the dataclass
+fields, so they take no part in ``==`` or ``repr``, and together they name
+the operator's step path.  Every value type, count tables too, pickles and
+copies through its constructor (``_rebuilt``), as a function made by
+``exec`` cannot be pickled: a copy's arrays are checked and read-only
+again, and an operator rebuilds its kernels.
 
 All types are immutable after construction, and all operations are pure;
 each step owns its scratch buffers, so everything here is safe to share
@@ -588,8 +591,9 @@ class ReducedQso:
                 "renormalize the source measures"
             )
         object.__setattr__(self, "_table", _sparse_table(arr))
-        block = _scalar_block(arr) if self.n <= _SCALAR_MAX_N else None
+        block, raw = _scalar_block(arr) if self.n <= _SCALAR_MAX_N else (None, None)
         object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "_raw", raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -680,26 +684,29 @@ def _sparse_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _scalar_block(p: np.ndarray):
-    """``block(buf, b)`` for the operator with coefficients ``p``: it writes
-    ``b`` renormalized quadratic steps from ``buf[0]`` into ``buf[1:b + 1]``
-    in Python floats, with einsum's operations in einsum's order (see the
-    module docstring), and returns True.  If a step's total is zero it
-    returns False and writes nothing: Python raises there, where NumPy's
-    division gives the inf or NaN row the einsum step keeps.
+    """``(block, raw)`` for the operator with coefficients ``p``, in Python
+    floats with einsum's operations in einsum's order (see the module
+    docstring).  ``block(buf, b)`` writes ``b`` renormalized quadratic steps
+    from ``buf[0]`` into ``buf[1:b + 1]`` and returns True.  If a step's
+    total is zero it returns False and writes nothing: Python raises there,
+    where NumPy's division gives the inf or NaN row the einsum step keeps.
+    ``raw(y0, ..., y{n-1})`` returns one raw step's image as a tuple; like
+    the block, it equals einsum only on finite coordinates.
 
     Each child is one expression, ``0.0 + c * y_i * y_j + ...`` over the
     nonzero coefficients in ``(i, j)`` C order, with each ``c`` written as
     its ``repr``, which reads back as the same double, and ``y_i * y_j``
-    for a coefficient of 1.0.  Compiling takes about 0.12-0.15 ms at n = 2
-    and 0.26-0.45 ms at n = 4 (best of 100, one x86-64 core)."""
+    for a coefficient of 1.0.  Both functions share these expressions and
+    one ``compile``."""
     n = len(p)
+    coefs = p.tolist()  # Python floats: faster to index than p
 
-    def term(i, j, k):
-        c = float(p[i, j, k])
+    def term(c, i, j):
         return f"y{i} * y{j}" if c == 1.0 else f"{c!r} * y{i} * y{j}"
 
-    sums = [" + ".join(["0.0", *(term(i, j, k) for i in range(n) for j in range(n)
-                                 if p[i, j, k] != 0.0)]) for k in range(n)]
+    sums = [" + ".join(["0.0", *(term(cell[k], i, j) for i, row in enumerate(coefs)
+                                 for j, cell in enumerate(row) if cell[k] != 0.0)])
+            for k in range(n)]
     coords = ", ".join(f"y{i}" for i in range(n))
     lines = ["def block(buf, b):",
              f"    {coords}, = buf[0].tolist()",
@@ -714,10 +721,12 @@ def _scalar_block(p: np.ndarray):
              "    except ZeroDivisionError:",
              "        return False",
              "    buf[1:b + 1].reshape(-1)[:] = rows",
-             "    return True"]
+             "    return True",
+             f"def raw({coords}):",
+             f"    return {', '.join(sums)},"]
     namespace = {}
     exec(compile("\n".join(lines), f"<qso scalar block, n = {n}>", "exec"), namespace)
-    return namespace["block"]
+    return namespace["block"], namespace["raw"]
 
 
 def _stepper(q: ReducedQso):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import qso
+from qso import cli
 from qso.cli import main, random_simplex_point
+from qso.dynamics import Trajectory, iterate
 from qso.models import _table_path
 
-from helpers import RH_COUNTS
+from helpers import RH_COUNTS, cyclic_shift_operator, random_regular_qso, random_simplex, rng
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +57,32 @@ def test_run_identity_echoes_input(capsys):
     assert len(lines) == 3  # start and the single converged step
     _, final = last_csv_row(out)
     assert final == [0.3, 0.7]
+
+
+def row_by_row_csv(traj):
+    """The ``run`` CSV written one row at a time, as the CLI once wrote it."""
+    n = traj.points.shape[1]
+    line = "%d" + ",%.12g" * n + "\n"
+    rows = zip(traj.indices.tolist(), traj.points.tolist())
+    return ("iter," + ",".join(f"y{k + 1}" for k in range(n)) + "\n"
+            + "".join(line % (k, *point) for k, point in rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_run_csv_matches_the_row_by_row_writer(n):
+    gen = rng(300 + n)
+    operators = [random_regular_qso(gen, n)] + [cyclic_shift_operator(n)] * (n > 1)
+    for q in operators:
+        start = qso.ReducedDistribution(random_simplex(gen, n))
+        for stride in (1, 7, 10**6):
+            for budget in (0, 1, 1025):
+                traj = iterate(q, start, max_iters=budget, tol=1e-300, stride=stride)
+                assert cli._csv(traj) == row_by_row_csv(traj)
+    odd = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e300, 0.1]
+    points = np.resize(odd, (len(odd) + 1, n))
+    traj = Trajectory(points, np.arange(len(points)) * 10**6, False, 10**6, np.nan)
+    assert cli._csv(traj) == row_by_row_csv(traj)
+    assert "inf" in cli._csv(traj) and "nan" in cli._csv(traj)
 
 
 def test_run_json_format(capsys):

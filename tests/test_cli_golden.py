@@ -47,6 +47,13 @@ INVOCATIONS = {
     "validate-abo-1e-3": ["validate", "{abo}", "--tol", "1e-3"],
     "validate-abo-1e-6": ["validate", "{abo}", "--tol", "1e-6"],
     "fixpoint-coeff-file-ingested": ["fixpoint", "--coeff-file", "{family}"],
+    # n = 3, a boundary point whose polish tries halving candidates that
+    # leave the simplex
+    "fixpoint-multi-0.25,0.15,0.1": ["fixpoint", "--model", "multi",
+                                     "--alphas", "0.25,0.15,0.1"],
+    "fixpoint-abo-random7": ["fixpoint", "--model", "abo", "--start", "random:7"],
+    "run-abo-3000-stride7-csv": ["run", "--model", "abo", "--max-iters", "3000",
+                                 "--stride", "7"],
 }
 
 

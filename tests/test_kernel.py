@@ -235,7 +235,9 @@ def test_find_fixed_point_from_fixed_start_takes_no_steps():
     assert np.array_equal(report.point.values, vertex)
 
 
-def test_find_fixed_point_from_fixed_start_evaluates_its_residual_once(monkeypatch):
+def counting_images(monkeypatch, q):
+    """Every image the polish computes from now on: each ``reduced_step``
+    call, and each call of ``q``'s raw scalar step where it has one."""
     calls = []
 
     def counting(*args):
@@ -243,7 +245,15 @@ def test_find_fixed_point_from_fixed_start_evaluates_its_residual_once(monkeypat
         return qso.operators.reduced_step(*args)
 
     monkeypatch.setattr(dynamics, "reduced_step", counting)
+    raw = q._raw
+    if raw is not None:  # q is frozen; each test builds its own q
+        object.__setattr__(q, "_raw", lambda *y: calls.append(1) or raw(*y))
+    return calls
+
+
+def test_find_fixed_point_from_fixed_start_evaluates_its_residual_once(monkeypatch):
     q = qso.multi_allele([0.2, 0.15, 0.1, 0.05])
+    calls = counting_images(monkeypatch, q)
     find_fixed_point(q, ReducedDistribution([1.0, 0.0, 0.0, 0.0]))
     # the start's image, then one Newton step's candidate: the step's
     # right-hand side reuses the start's image
@@ -571,6 +581,9 @@ def test_constructor_builds_each_kernel_once_and_stepping_builds_none(monkeypatc
 
     counting("_scalar_block", operators._scalar_block)
     counting("_sparse_table", operators._sparse_table)
+    compiled = []  # the scalar block and the raw step come from one compile
+    monkeypatch.setattr(operators, "compile",
+                        lambda *args: compiled.append(args[1]) or compile(*args), raising=False)
     cases = {"trait": (lambda: qso.mendelian_trait(0.2), ["_scalar_block"]),
              "rh": (lambda: qso.rh_model()[0], ["_scalar_block"]),
              "abo": (lambda: qso.abo_model()[0], ["_scalar_block"]),
@@ -579,17 +592,21 @@ def test_constructor_builds_each_kernel_once_and_stepping_builds_none(monkeypatc
              "multi-5": (lambda: qso.multi_allele([0.2, 0.15, 0.1, 0.03, 0.02]), []),
              "mendelian-64": (mendelian_operator, ["_sparse_table"])}
     for name, (make, kernels) in cases.items():
-        del calls[:], built[:]
+        del calls[:], built[:], compiled[:]
         q = make()
         assert built == kernels, name
         assert (q._block is not None, q._table is not None) == (
             "_scalar_block" in kernels, "_sparse_table" in kernels), name
-        made = len(calls)
+        assert (q._raw is None) == (q._block is None), name
+        assert len(compiled) == ("_scalar_block" in kernels), name
+        made, raw = len(calls), q._raw
         y0 = ReducedDistribution.uniform(q.n)
         iterate(q, y0, max_iters=50)
         find_fixed_point(q, y0)
+        find_fixed_point(q, ReducedDistribution(random_simplex(rng(560), q.n)))
         qso.apply_reduced(q, y0)
         assert len(calls) == made, name
+        assert len(compiled) == ("_scalar_block" in kernels) and q._raw is raw, name
         twin = ReducedQso(q.n, q.p)  # equal coefficients, its own block
         assert (twin._block is None) == (q._block is None)
         assert twin._block is not q._block or q._block is None, name
@@ -645,18 +662,14 @@ def test_newton_polish_matches_the_halving_loop_with_fewer_steps(monkeypatch, me
     else:
         make, y0 = SMALL_CASES[name]
         q = make()
-    calls, newton_steps = [], []
+    newton_steps = []
     jacobian = dynamics.jacobian
-
-    def counting(*args):
-        calls.append(1)
-        return qso.operators.reduced_step(*args)
 
     def counting_jacobian(*args):
         newton_steps.append(1)
         return jacobian(*args)
 
-    monkeypatch.setattr(dynamics, "reduced_step", counting)
+    calls = counting_images(monkeypatch, q)
     monkeypatch.setattr(dynamics, "jacobian", counting_jacobian)
     new_calls, old_calls = [], []
     for y in newton_starts(q, y0):
@@ -673,6 +686,52 @@ def test_newton_polish_matches_the_halving_loop_with_fewer_steps(monkeypatch, me
         assert polished.tobytes() == expected.tobytes()
     assert all(new <= old for new, old in zip(new_calls, old_calls))
     assert (sum(new_calls) < sum(old_calls)) == saves
+
+
+def array_polish(q, y):
+    """``_newton_refine`` from ``y`` with ``q`` held to the array halving."""
+    raw = q._raw
+    object.__setattr__(q, "_raw", None)
+    try:
+        with np.errstate(all="ignore"):
+            return dynamics._newton_refine(q, y, qso.operators.reduced_step(q, y))
+    finally:
+        object.__setattr__(q, "_raw", raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.one_of(signed_zero_qso(), pooled_coefficient_qso()).filter(lambda q: q.n >= 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_float_polish_matches_the_array_polish_bitwise(q, seed):
+    assert q._raw is not None
+    gen = rng(seed)
+    with np.errstate(all="ignore"):
+        starts = [*newton_starts(q, random_simplex(gen, q.n)),
+                  *starts_with_signed_zeros(gen, q.n, 4)]
+    for y in starts:
+        polished, residual = dynamics._newton_refine(q, y, qso.operators.reduced_step(q, y))
+        expected, expected_residual = array_polish(q, y)
+        assert polished.tobytes() == expected.tobytes()
+        assert np.float64(residual).tobytes() == np.float64(expected_residual).tobytes()
+
+
+@pytest.mark.parametrize("d", [[np.nan, 0.0], [-np.inf, 0.0], [-np.inf, -np.inf],
+                               [np.inf, 0.0], [-1e308, -1e308], [0.3, 0.7]],
+                         ids=["nan", "one-inf", "two-inf", "-inf", "overflowing-sum",
+                              "zero-sum"])
+def test_float_halving_matches_the_array_halving_on_an_odd_direction(d):
+    # the moved points hold NaN, inf or -inf, or sum to inf or to zero; the
+    # candidates are NaN (inf / inf, 0 / 0) or all 0.0 (x / inf)
+    q = qso.rh_model()[0]
+    best = np.array([0.3, 0.7])
+    best_res = dynamics._l1(qso.operators.reduced_step(q, best), best)
+    found = dynamics._halve_floats(q, best, np.array(d), best_res)
+    with np.errstate(all="ignore"):
+        expected = dynamics._halve(q, best, np.array(d), best_res)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert [np.float64(v).tobytes() for v in found] == [
+            np.float64(v).tobytes() for v in expected]
 
 
 # Operators with more than 4 types whose child-major table of nonzero
