@@ -31,7 +31,7 @@ from .ingest import (
     read_measure_family,
     save_measure_family,
 )
-from .operators import ReducedDistribution, ReducedQso, ValidationReport
+from .operators import ReducedDistribution, ReducedQso, ValidationReport, _check_types
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -83,8 +83,7 @@ def _parse_start(text: str, n: int, seed: int) -> ReducedDistribution:
         values = [float(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"cannot parse start {text!r}")
-    if len(values) != n:
-        raise ValueError(f"start has {len(values)} entries, model expects {n}")
+    _check_types(len(values), n, "start")
     return ReducedDistribution(np.asarray(values))
 
 

@@ -84,12 +84,13 @@ from . import operators
 from .errors import AlphaOutOfRange, InvalidCoefficients, NoConvergence
 from .genotype import _integer
 from .operators import (_DEGENERATE_TOL, _NEWTON_FLOOR, CLASSIFY_MARGIN, ROUNDING_TOL,
-                        ReducedDistribution, ReducedQso, _frozen, _read_only, _rebuilt,
-                        _stepper, reduced_step)
+                        ReducedDistribution, ReducedQso, _check_types, _frozen, _read_only,
+                        _rebuilt, _stepper, reduced_step)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 1_000_000
 _NEWTON_STEPS = 60
+_NEWTON_HALVINGS = 40  # step lengths t = 1, 1/2, ... each Newton step tries
 _BLOCK_MIN = 8        # steps in the first block and the fewest in any block
 _BLOCK_MAX = 1024     # most steps in one block
 
@@ -237,8 +238,7 @@ def _check_solver_args(q: ReducedQso, y0: ReducedDistribution, tol: float, max_i
         raise ValueError("tol must be positive")
     _integer(max_iters, "max_iters", 0)
     _integer(stride, "stride", 1)
-    if y0.n != q.n:
-        raise ValueError(f"start has {y0.n} types, operator expects {q.n}")
+    _check_types(y0.n, q.n, "start")
 
 
 def iterate(q: ReducedQso, y0: ReducedDistribution, max_iters: int = DEFAULT_MAX_ITERS,
@@ -282,6 +282,7 @@ def iterate(q: ReducedQso, y0: ReducedDistribution, max_iters: int = DEFAULT_MAX
 
 def jacobian(q: ReducedQso, y: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the quadratic step: ``J[k, i] = 2 sum_j p[i,j,k] y_j``."""
+    _check_types(np.size(y), q.n, "point")
     return 2.0 * operators._einsum("ijk,j->ki", q.p, np.asarray(y, dtype=float))
 
 
@@ -290,10 +291,11 @@ def tangent_spectral_radius(q: ReducedQso, y: np.ndarray) -> float:
     space ``{v : sum v = 0}`` (invariant under J because every Jacobian
     column sums to 2 on the simplex)."""
     n = q.n
+    jac = jacobian(q, y)  # checks y first, for every n
     if n < 2:
         return float("nan")
     proj = np.eye(n) - np.full((n, n), 1.0 / n)
-    eigs = np.linalg.eigvals(proj @ jacobian(q, y) @ proj)
+    eigs = np.linalg.eigvals(proj @ jac @ proj)
     return float(np.abs(eigs).max())
 
 
@@ -339,12 +341,12 @@ def _newton_refine(q: ReducedQso, y: np.ndarray,
 
 
 def _halve(q: ReducedQso, best: np.ndarray, d: np.ndarray, best_res: float):
-    """``(point, image, residual)`` for the first t = 1, 1/2, ... (40 tries)
+    """``(point, image, residual)`` for the first t = 1, 1/2, ... (``_NEWTON_HALVINGS`` tries)
     at which ``best - t d`` lies in the simplex and, normalized, beats
     ``best_res``.  None if none does, known early once ``best - t d`` is
     ``best`` to the bit: rounding is monotone, so every smaller t does too."""
     t = 1.0
-    for _ in range(40):
+    for _ in range(_NEWTON_HALVINGS):
         moved = best - t * d
         if moved.min() >= 0.0:
             cand = moved / moved.sum()
@@ -365,7 +367,7 @@ def _halve_floats(q: ReducedQso, best: np.ndarray, d: np.ndarray, best_res: floa
     point, d, at = best.tolist(), d.tolist(), best.tobytes()
     pack = struct.Struct(f"{len(point)}d").pack
     t = 1.0
-    for _ in range(40):
+    for _ in range(_NEWTON_HALVINGS):
         moved = [b - t * e for b, e in zip(point, d)]
         if all(map((0.0).__le__, moved)):  # NaN fails, as it fails moved.min() >= 0.0
             total = fold(add, moved)

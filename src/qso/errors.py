@@ -45,8 +45,8 @@ class ChildAsymmetry(QsoError):
     """Tensor coefficients differ between mirrored child genotypes."""
 
 
-class DimensionMismatch(QsoError):
-    """Operand dimensions are incompatible."""
+class DimensionMismatch(QsoError, ValueError):
+    """Operand dimensions are incompatible.  Also a ``ValueError``."""
 
 
 class GenderAsymmetric(QsoError):

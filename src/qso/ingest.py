@@ -55,7 +55,6 @@ import numpy as np
 
 from .errors import (
     AsymmetricMeasure,
-    DimensionMismatch,
     InvariantViolation,
     MissingParentPair,
     ParseError,
@@ -64,8 +63,8 @@ from .errors import (
     ZeroTotal,
 )
 from .genotype import GENDERS, GenotypeSpace, build_space
-from .operators import (TABLE_TOL, MeasureFamily, ValidationReport, _check_gender_gap, _frozen,
-                        _pair_label, _read_only, _rebuilt)
+from .operators import (TABLE_TOL, MeasureFamily, ValidationReport, _check_gender_gap,
+                        _check_space, _frozen, _pair_label, _read_only, _rebuilt)
 
 MEASURE_HEADER = "mother,father,child_gender,child_type,value"
 COUNTS_HEADER = "mother,father,child_gender,child_type,count"
@@ -143,8 +142,7 @@ def estimate_measures(space: GenotypeSpace, counts: CountsTable,
     gender-asymmetric counts raise ``AsymmetricMeasure`` instead of being
     silently averaged.
     """
-    if counts.space is not space and counts.space != space:
-        raise DimensionMismatch("counts table was built for a different space")
+    _check_space(counts.space, space, "counts table")
     m = space.m
     columns = getattr(counts, "_columns", None)
     cells, values = columns if columns is not None else _row_columns(space, counts.rows)

@@ -20,11 +20,12 @@ are not scanned.  An array that already has the declared dtype, owns its data
 and is read-only is adopted as it is; every other input (a writable array, a
 view, another dtype, a list) is copied, so later writes to it cannot reach the
 stored value.  The builders here mark their fresh results read-only, so a
-large tensor is never copied on construction.  The female/male gap is checked
-only by ``_check_gender_gap``.  The checks that need full-size temporaries
-(the finiteness scan, that gap, the reduced operator's parent symmetry and
-the ratio and support checks of ``_pair_violations``) walk the first axis in
-blocks of about 1 MiB.
+large tensor is never copied on construction.  Each operand rule (the
+female/male gap, the sex ratio, the simplex, a point's type count, a shared
+space, the 1:1 ratio) is stated once, in one ``_check_*`` function.  The
+checks that need full-size temporaries (the finiteness scan, that gap, the
+reduced operator's parent symmetry and the ratio and support checks of
+``_pair_violations``) walk the first axis in blocks of about 1 MiB.
 
 ``reduced_step``, which the residuals and the Newton polish of
 ``dynamics`` call, and the orbit kernel both take one quadratic step
@@ -219,6 +220,24 @@ def _check_simplex(vals: np.ndarray, error: type[Exception]) -> None:
     total = vals.sum()
     if abs(total - 1.0) > MASS_TOL:
         raise error(f"total mass {total} != 1")
+
+
+def _check_types(got: int, n: int, what: str) -> None:
+    """Raise ``DimensionMismatch`` unless ``what``, a point of ``got`` types, has ``n``."""
+    if got != n:
+        raise DimensionMismatch(f"{what} has {got} types, operator expects {n}")
+
+
+def _check_space(built: GenotypeSpace, space: GenotypeSpace, what: str) -> None:
+    """Raise ``DimensionMismatch`` unless ``built``, the space of ``what``, is ``space``."""
+    if built is not space and built != space:
+        raise DimensionMismatch(f"{what} was built for a different space")
+
+
+def _check_one_to_one(p_ratio: tuple[float, float], error: type[Exception], message: str) -> None:
+    """Raise ``error(message.format(p_ratio))`` unless p is 1/2 to ``ROUNDING_TOL``."""
+    if abs(p_ratio[0] - 0.5) > ROUNDING_TOL:
+        raise error(message.format(p_ratio))
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,12 +438,9 @@ def mendelian_coefficients(space: GenotypeSpace, mu0: Distribution) -> HeredityT
     ``ZeroMassOffspringSet`` when a pair's offspring set carries no
     base-measure mass (the formula would divide by zero).
     """
-    if mu0.space is not space and mu0.space != space:
-        raise DimensionMismatch("base measure was built for a different space")
-    if mu0.p_ratio != (0.5, 0.5):
-        raise AsymmetricMeasure(
-            f"base measure must live on the 1:1 hyper-simplex, got p:q = {mu0.p_ratio}"
-        )
+    _check_space(mu0.space, space, "base measure")
+    _check_one_to_one(mu0.p_ratio, AsymmetricMeasure,
+                      "base measure must live on the 1:1 hyper-simplex, got p:q = {}")
     _check_gender_gap(mu0.values, AsymmetricMeasure, "base measure female/male values differ by {}")
     m = space.m
     # support[i, j, t]: each allele of child traits t is the mother's or the
@@ -463,8 +479,7 @@ def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> He
     Mixed-gender pairs may produce any child genotype; the family must
     cover every pair and be gender-symmetric in the child.
     """
-    if family.space is not space and family.space != space:
-        raise DimensionMismatch("measure family was built for a different space")
+    _check_space(family.space, space, "measure family")
     missing = family.missing_pairs()
     if missing:
         i, j = missing[0]
@@ -555,8 +570,7 @@ def apply_canonical(t: HeredityTensor, lam: Distribution) -> Distribution:
     """One generation of the canonical p:q operator:
     ``lam'(s) = 2 * sum_{i,j} p[(i,j), s] * lam(f_i) * lam(m_j)``.
     """
-    if lam.space != t.space:
-        raise DimensionMismatch("distribution and tensor spaces differ")
+    _check_space(lam.space, t.space, "distribution")
     if abs(lam.p_ratio[0] - t.p_ratio[0]) > MASS_TOL:
         raise DistributionOutsideHyperSimplex(
             f"distribution has female mass {lam.p_ratio[0]}, tensor expects {t.p_ratio[0]}"
@@ -625,8 +639,7 @@ def reduce(t: HeredityTensor) -> ReducedQso:
     symmetrization is exact because a quadratic form only sees the
     symmetric part of its coefficient matrix.
     """
-    if abs(t.p_ratio[0] - 0.5) > ROUNDING_TOL:
-        raise NotOneToOne(f"reduction is defined for p = q = 1/2, got p:q = {t.p_ratio}")
+    _check_one_to_one(t.p_ratio, NotOneToOne, "reduction is defined for p = q = 1/2, got p:q = {}")
     _check_gender_gap(t.coefficients, ChildAsymmetry, "female/male child coefficients differ by {}")
     fem = t.coefficients[:, :, :t.space.m]
     p = fem + fem.transpose(1, 0, 2)
@@ -636,8 +649,7 @@ def reduce(t: HeredityTensor) -> ReducedQso:
 
 def apply_reduced(q: ReducedQso, y: ReducedDistribution) -> ReducedDistribution:
     """One step of the reduced operator (exact quadratic form, no renormalization)."""
-    if y.n != q.n:
-        raise DimensionMismatch(f"distribution has {y.n} types, operator expects {q.n}")
+    _check_types(y.n, q.n, "distribution")
     return ReducedDistribution(_frozen(reduced_step(q, y.values)))
 
 
@@ -772,8 +784,7 @@ def _stepper(q: ReducedQso):
 def lift(space: GenotypeSpace, y: ReducedDistribution) -> Distribution:
     """Embed a reduced point into the 1:1 hyper-simplex, halving the mass
     between the two genders of each trait."""
-    if y.n != space.m:
-        raise DimensionMismatch(f"reduced point has {y.n} types, space has {space.m}")
+    _check_types(y.n, space.m, "reduced point")
     half = y.values / 2.0
     return Distribution(space, _frozen(np.concatenate([half, half])))
 
@@ -783,7 +794,6 @@ def fold(space: GenotypeSpace, lam: Distribution) -> ReducedDistribution:
     ``y_k = 2 * lam(f_k)``.  ``fold(lift(y))`` is ``y`` exactly only when no
     coordinate of ``y`` is subnormal: ``lift`` halves, and halving a subnormal
     rounds."""
-    if lam.space != space:
-        raise DimensionMismatch("distribution belongs to a different space")
+    _check_space(lam.space, space, "distribution")
     _check_gender_gap(lam.values, GenderAsymmetric, "female/male values differ by {}; cannot fold")
     return ReducedDistribution(_frozen(2.0 * lam.female))

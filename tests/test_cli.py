@@ -380,6 +380,12 @@ def test_negative_seed_is_one_error_line_naming_it(capsys, seed):
 
 
 @pytest.mark.parametrize("command", ["run", "fixpoint"])
+def test_a_start_of_the_wrong_length_is_one_error_line(capsys, command):
+    code, out, err = run_cli(capsys, command, "--model", "rh", "--start", "0.2,0.3,0.5")
+    assert (code, out, err) == (1, "", "error: start has 3 types, operator expects 2\n")
+
+
+@pytest.mark.parametrize("command", ["run", "fixpoint"])
 def test_negative_max_iters_is_one_error_line(command):
     proc = subprocess.run(
         [sys.executable, "-m", "qso", command, "--model", "rh", "--max-iters", "-2"],

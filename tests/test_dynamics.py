@@ -17,7 +17,7 @@ from qso.dynamics import (
     regularity_check,
     tangent_spectral_radius,
 )
-from qso.errors import AlphaOutOfRange, InvalidCoefficients, NoConvergence
+from qso.errors import AlphaOutOfRange, DimensionMismatch, InvalidCoefficients, NoConvergence
 
 from helpers import cyclic_shift_operator, random_regular_qso, random_simplex, rng
 
@@ -160,11 +160,18 @@ def test_negative_budget_is_rejected(max_iters):
      "max_iters must be an integer, got 100.0"),
     (find_fixed_point, [0.5, 0.5], {"max_iters": float("inf")},
      "max_iters must be an integer, got inf"),
+    (apply_reduced, [0.2, 0.3, 0.5], {}, "distribution has 3 types, operator expects 2"),
+    (lambda q, y: jacobian(q, y.values), [0.2, 0.3, 0.5], {},
+     "point has 3 types, operator expects 2"),
+    (lambda q, y: tangent_spectral_radius(q, y.values), [0.2, 0.3, 0.5], {},
+     "point has 3 types, operator expects 2"),
 ])
 def test_solver_arguments_are_checked(solve, start, kwargs, message):
     q, _ = qso.rh_model()
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$") as caught:
         solve(q, ReducedDistribution(start), **kwargs)
+    # a point without the operator's type count is a DimensionMismatch, also a ValueError
+    assert isinstance(caught.value, DimensionMismatch) == ("types" in message)
 
 
 def test_trajectory_final_is_the_last_recorded_point():

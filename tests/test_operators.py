@@ -35,6 +35,7 @@ from qso.errors import (
     NotOneToOne,
     ZeroMassOffspringSet,
 )
+from qso.ingest import CountsTable, estimate_measures
 from qso.operators import ROUNDING_TOL, reduced_step
 from qso.operators import reduce as reduce_tensor
 
@@ -592,6 +593,8 @@ def rh_family(scale=1.0, zero_pair=None):
     return MeasureFamily(RH, mu)
 
 
+OFF_ONE_TO_ONE = (0.5 + 2e-12, 0.5 - 2e-12)
+
 # case -> (call, exception, message)
 REJECTED = {
     "distribution sex ratio": (
@@ -631,13 +634,25 @@ REJECTED = {
         ValueError, "measure rows deviate from unit mass by .*; renormalize first"),
     "apply_canonical space": (
         lambda: apply_canonical(rh_tensor(), Distribution(TRAIT, [0.25] * 4)),
-        DimensionMismatch, "distribution and tensor spaces differ"),
+        DimensionMismatch, "distribution was built for a different space"),
     "lift size": (
         lambda: lift(TRAIT, ReducedDistribution([0.2, 0.3, 0.5])),
-        DimensionMismatch, "reduced point has 3 types, space has 2"),
+        DimensionMismatch, "reduced point has 3 types, operator expects 2"),
     "fold space": (
         lambda: fold(TRAIT, Distribution(RH, [0.25] * 4)),
-        DimensionMismatch, "distribution belongs to a different space"),
+        DimensionMismatch, "distribution was built for a different space"),
+    "estimate_measures space": (
+        lambda: estimate_measures(TRAIT, CountsTable(RH, ())),
+        DimensionMismatch, "counts table was built for a different space"),
+    # 1:1 is accepted to ROUNDING_TOL, and 2e-12 is past it
+    "mendelian p:q 2e-12 off": (
+        lambda: mendelian_coefficients(TRAIT, Distribution(TRAIT, [0.25] * 4, OFF_ONE_TO_ONE)),
+        AsymmetricMeasure, re.escape("base measure must live on the 1:1 hyper-simplex, "
+                                     f"got p:q = {OFF_ONE_TO_ONE}")),
+    "reduce p:q 2e-12 off": (
+        lambda: reduce_tensor(HeredityTensor(RH, OFF_ONE_TO_ONE, rh_tensor().coefficients)),
+        NotOneToOne,
+        re.escape(f"reduction is defined for p = q = 1/2, got p:q = {OFF_ONE_TO_ONE}")),
 }
 
 
@@ -646,6 +661,18 @@ def test_rejected_arguments(case):
     call, error, message = REJECTED[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_one_to_one_is_accepted_to_rounding():
+    # mendelian_coefficients reads a base measure's 1:1 ratio as reduce reads a tensor's
+    exact = trait_mu0(0.2)
+    near = Distribution(TRAIT, exact.values, (0.5 + 1e-13, 0.5 - 1e-13))
+    t = mendelian_coefficients(TRAIT, exact)
+    t_near = mendelian_coefficients(TRAIT, near)
+    assert t_near.coefficients.tobytes() == t.coefficients.tobytes()
+    assert reduce_tensor(t_near).p.tobytes() == reduce_tensor(t).p.tobytes()
+    t_near = HeredityTensor(TRAIT, near.p_ratio, t.coefficients)
+    assert reduce_tensor(t_near).p.tobytes() == reduce_tensor(t).p.tobytes()
 
 
 def test_full_coefficient_takes_a_mixed_pair_in_either_order():
