@@ -1,10 +1,13 @@
 import contextlib
 import copy
 import dataclasses
+import gc
 import io
+import itertools
 import math
 import pickle
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -547,6 +550,9 @@ def test_nan_measure_value_is_a_parse_error(tmp_path):
     (b"# space: +,-\r\n# caf\xc3\xa9 \xe9\r\n", 2, 8),
     (b"# space: +,-\r# note\rmother\x80", 3, 7),
     (b"\xff# space: +,-\n", 1, 1),
+    # the whole file is checked first: a bad byte wins over an earlier unknown label
+    (b"# space: +,-\nmother,father,child_gender,child_type,count\n?,+,f,+,1\n+,+,f,-,\xff\n",
+     4, 9),
 ])
 def test_undecodable_byte_is_a_parse_error(tmp_path, text, line, column):
     path = tmp_path / "bad.csv"
@@ -783,3 +789,43 @@ def test_fuzzed_files_fail_only_with_qso_errors(base, mutations):
             assert code in (0, 1, 2)
             if family is None:
                 assert code == 1
+
+
+# --- memory ------------------------------------------------------------------------------
+
+def traced(fn):
+    """``fn()``, and the bytes it allocated that are still held when it returns
+    and at their peak, as ``tracemalloc`` counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_table_io_peaks_stay_in_proportion_to_the_columns(tmp_path):
+    # an 18,522-row canonical counts file and the 18,522-row family it estimates;
+    # readers that held the whole text and its lines, and a writer that joined
+    # every line, peaked at 9.7x, 4.7x and 5.2x these files' sizes, and a rows
+    # build over two whole-column lists at 1.46x the rows it kept
+    space = build_space([list("abcdefg"), list("XYZ")])
+    labels, _ = space.label_table
+    m = space.m
+    counts_path, family_path = tmp_path / "counts.csv", tmp_path / "family.csv"
+    counts_path.write_text("# space: a,b,c,d,e,f,g;X,Y,Z\n" + ingest.COUNTS_HEADER + "\n" + "".join(
+        f"{labels[i]},{labels[j]},{GENDERS[s // m]},{labels[s % m]},{(i + j + s) % 37 + 1}\n"
+        for i, j, s in itertools.product(range(m), range(m), range(space.total))))
+    load_counts(counts_path)  # a first call, so one-off costs are not counted
+    table, _, peak = traced(lambda: load_counts(counts_path))
+    assert peak < 4 * counts_path.stat().st_size
+    family = estimate_measures(space, table, symmetrize=True)
+    _, _, peak = traced(lambda: save_measure_family(family, family_path))
+    assert peak < family_path.stat().st_size
+    _, _, peak = traced(lambda: load_measure_family(family_path))
+    assert peak < 3 * family_path.stat().st_size
+    rows, held, peak = traced(lambda: table.rows)
+    assert len(rows) == space.m ** 2 * space.total
+    assert peak < 1.2 * held

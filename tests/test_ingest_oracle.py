@@ -29,9 +29,18 @@ estimates from them in one ``np.bincount``.  On the same mutated files and
 on the single-fault files, that estimate must have the bytes, or raise the
 error, of the estimate from ``CountsTable(space, table.rows)``, which goes
 through the per-row loop.
+
+The readers now stream lines from the file's bytes and the writer writes
+one parent pair at a time.  The oracles therefore also read files with lone
+``\r`` endings, no final newline, blank lines after or between rows, and
+fields padded with the characters ``str.splitlines`` splits on but this
+format does not.  ``joined_save_measure_family`` is the writer as it was
+before it streamed: it joined every line and wrote the text once, and the
+streamed writer must write its bytes.
 """
 
 import itertools
+import math
 import zlib
 from pathlib import Path
 
@@ -276,6 +285,21 @@ def oracle_save_measure_family(family, path):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def joined_save_measure_family(family, path):
+    """``save_measure_family``'s bytes as it wrote them before it streamed:
+    every line joined, then written at once."""
+    space = family.space
+    labels, _ = space.label_table
+    children = [f"{gender},{label}" for gender in GENDERS for label in labels]
+    complete = ~np.isnan(family.mu).any(axis=2)
+    lines = [f"# space: {ingest._format_space(space)}", MEASURE_HEADER]
+    for i, j in zip(*np.nonzero(complete)):
+        parents = f"{labels[i]},{labels[j]}"
+        lines.extend(f"{parents},{child},{v!r}"
+                     for child, v in zip(children, family.mu[i, j].tolist()))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 # --- well-formed files ----------------------------------------------------------------
 
 SPACES = {
@@ -335,6 +359,32 @@ def measure_text(gen, components, omit_children=0.2, omit_pairs=0.2, newline="\n
     return newline.join(lines) + newline
 
 
+# line breaks to ``str.splitlines`` but not to this format, which splits only at
+# \n, \r\n and \r
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+FORMS = ["as-written", "no-final-newline", "trailing-blank-lines", "blank-line-between-rows",
+         "splitlines-padding"]
+
+
+def reform(text, form, newline):
+    """``text``, written with ``newline`` endings, in one of ``FORMS``."""
+    lines = text.split(newline)[:-1]
+    head = next(k for k, line in enumerate(lines)
+                if line.strip() in (COUNTS_HEADER, MEASURE_HEADER)) + 1
+    if form == "no-final-newline":
+        return newline.join(lines)
+    if form == "trailing-blank-lines":
+        lines += ["", ""]
+    elif form == "blank-line-between-rows":
+        lines.insert(head + 1, "")
+    elif form == "splitlines-padding":
+        for k in range(head, len(lines)):
+            pad = SPLITLINES_ONLY[k % len(SPLITLINES_ONLY)]
+            lines[k] = pad + lines[k].replace(",", f"{pad},{pad}") + pad
+    return newline.join(lines) + newline
+
+
 def write(tmp_path, text, name="table.csv"):
     path = tmp_path / name
     path.write_bytes(text.encode("utf-8"))
@@ -343,46 +393,49 @@ def write(tmp_path, text, name="table.csv"):
 
 @pytest.mark.parametrize("name", sorted(SPACES))
 @pytest.mark.parametrize("fractional", [False, True])
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_load_counts_matches_oracle(tmp_path, name, fractional, newline):
     gen = rng(zlib.crc32(f"{name} {fractional} {newline!r}".encode()))
-    path = write(tmp_path, counts_text(gen, SPACES[name], fractional, newline=newline,
-                                       decorate=True))
-    table = load_counts(path)
-    expected = oracle_load_counts(path)
-    assert table == expected
-    for symmetrize in (False, True):
-        try:
-            want = oracle_estimate_measures(expected.space, expected, symmetrize)
-        except QsoError as exc:
-            with pytest.raises(type(exc)) as got:
-                estimate_measures(table.space, table, symmetrize)
-            assert str(got.value) == str(exc)
-            continue
-        family = estimate_measures(table.space, table, symmetrize)
-        assert np.array_equal(family.mu, want.mu)
-        save_measure_family(family, tmp_path / "new.csv")
-        oracle_save_measure_family(want, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    text = counts_text(gen, SPACES[name], fractional, newline=newline, decorate=True)
+    for form in FORMS:
+        path = write(tmp_path, reform(text, form, newline))
+        table = load_counts(path)
+        expected = oracle_load_counts(path)
+        assert table == expected
+        for symmetrize in (False, True):
+            try:
+                want = oracle_estimate_measures(expected.space, expected, symmetrize)
+            except QsoError as exc:
+                with pytest.raises(type(exc)) as got:
+                    estimate_measures(table.space, table, symmetrize)
+                assert str(got.value) == str(exc)
+                continue
+            family = estimate_measures(table.space, table, symmetrize)
+            assert np.array_equal(family.mu, want.mu)
+            save_measure_family(family, tmp_path / "new.csv")
+            oracle_save_measure_family(want, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_read_measure_family_matches_oracle(tmp_path, name, newline):
     gen = rng(zlib.crc32(f"{name} {newline!r}".encode()))
-    path = write(tmp_path, measure_text(gen, SPACES[name], newline=newline))
-    family = read_measure_family(path)
-    expected = oracle_read_measure_family(path)
-    assert family.space == expected.space
-    assert np.array_equal(family.mu, expected.mu, equal_nan=True)
-    # pairs without rows stay NaN, and a pair with any NaN is left out of
-    # the saved file
-    mu = family.mu.copy()
-    mu[-1, -1, 0] = np.nan
-    for saved in (family, MeasureFamily(family.space, mu)):
-        save_measure_family(saved, tmp_path / "new.csv")
-        oracle_save_measure_family(saved, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    text = measure_text(gen, SPACES[name], newline=newline)
+    for form in FORMS:
+        path = write(tmp_path, reform(text, form, newline))
+        family = read_measure_family(path)
+        expected = oracle_read_measure_family(path)
+        assert family.space == expected.space
+        assert np.array_equal(family.mu, expected.mu, equal_nan=True)
+        # pairs without rows stay NaN, and a pair with any NaN is left out of
+        # the saved file
+        mu = family.mu.copy()
+        mu[-1, -1, 0] = np.nan
+        for saved in (family, MeasureFamily(family.space, mu)):
+            save_measure_family(saved, tmp_path / "new.csv")
+            oracle_save_measure_family(saved, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize("table", ["rh.csv", "abo.csv"])
@@ -393,6 +446,40 @@ def test_embedded_tables_read_and_save_like_oracle(tmp_path, table):
     save_measure_family(family, tmp_path / "new.csv")
     oracle_save_measure_family(expected, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def odd_values_family():
+    """Rh with a missing (NaN) pair, a -0.0 and the subnormal 5e-324."""
+    mu = read_measure_family(DATA / "rh.csv").mu.copy()
+    mu[0, 1] = np.nan
+    mu[1, 0, 1] = -0.0
+    mu[1, 1, 2] = 5e-324
+    return MeasureFamily(build_space(SPACES["rh"]), mu)
+
+
+WRITTEN = {
+    "rh": lambda: read_measure_family(DATA / "rh.csv"),
+    "abo": lambda: read_measure_family(DATA / "abo.csv"),
+    "two-biallelic": lambda: random_symmetric_family(rng(29),
+                                                     build_space(SPACES["two-biallelic"])),
+    "odd-values": odd_values_family,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_streamed_writer_writes_the_joined_writers_bytes(tmp_path, name):
+    family = WRITTEN[name]()
+    save_measure_family(family, tmp_path / "new.csv")
+    joined_save_measure_family(family, tmp_path / "old.csv")
+    written = (tmp_path / "new.csv").read_bytes()
+    assert written == (tmp_path / "old.csv").read_bytes()
+    if name == "odd-values":
+        assert b",-0.0\n" in written and b",5e-324\n" in written
+        assert written.count(b"\n") == 2 + 3 * family.space.total
+    reread = read_measure_family(tmp_path / "new.csv").mu
+    assert np.array_equal(reread, family.mu, equal_nan=True)
+    assert [math.copysign(1, v) for v in reread.ravel()] == [
+        math.copysign(1, v) for v in family.mu.ravel()]
 
 
 def test_estimate_sums_repeated_fractional_cells_in_row_order():
@@ -468,6 +555,8 @@ SINGLE_FAULTS = [
     ("multi-unknown-allele", MULTI_MEASURE, 4, "A|B,A|B,f,a|c,0.25"),
     ("multi-bad-value", MULTI_MEASURE, 8, "A|b,a|B,m,a|B,0.5x"),
     ("multi-duplicate", MULTI_MEASURE, 6, "A|B,A|B,m,A|B,0.5"),
+    ("splitlines-in-label", RH_COUNTS, 5, f"+,+,m,+{SPLITLINES_ONLY}-,985"),
+    ("splitlines-in-value", RH_COUNTS, 4, f"+,+,f,-,1{SPLITLINES_ONLY}5"),
 ]
 
 
@@ -608,7 +697,7 @@ ODD_SPACES = {"pipe-allele": [["+", "x|y"]], "hash-allele": [["#", "+"]]}
 
 ROW_MUTATION = st.tuples(
     st.sampled_from(["pad", "tab", "lead", "value-space", "value", "comment", "blank",
-                     "repeat", "split", "six-fields", "bad-gender"]),
+                     "repeat", "split", "six-fields", "bad-gender", "splitlines-char"]),
     st.integers(0, 10**6),
     st.sampled_from(["1_0", "-0.0", "nan", "1e400", "-1"]),
 )
@@ -643,6 +732,10 @@ def mutate_rows(text, mutations):
             lines[k] = lines[k] + ",4"
         elif kind == "bad-gender" and len(fields) > 2:
             lines[k] = ",".join(fields[:2] + ["x"] + fields[3:])
+        elif kind == "splitlines-char":
+            cut = at % (len(lines[k]) + 1)
+            char = SPLITLINES_ONLY[at % len(SPLITLINES_ONLY)]
+            lines[k] = lines[k][:cut] + char + lines[k][cut:]
     return lines
 
 
@@ -651,7 +744,7 @@ def mutate_rows(text, mutations):
        name=st.sampled_from(sorted(SPACES) + sorted(ODD_SPACES)),
        seed=st.integers(0, 2**16),
        mutations=st.lists(ROW_MUTATION, max_size=3),
-       newline=st.sampled_from(["\n", "\r\n"]))
+       newline=st.sampled_from(["\n", "\r\n", "\r"]))
 def test_fast_rows_match_the_per_line_loop(kind, name, seed, mutations, newline):
     components = {**SPACES, **ODD_SPACES}[name]
     gen = rng(seed)
@@ -726,7 +819,7 @@ def check_loaded_estimates(lines):
 @given(name=st.sampled_from(sorted(SPACES) + sorted(ODD_SPACES)),
        seed=st.integers(0, 2**16),
        mutations=st.lists(ROW_MUTATION, max_size=3),
-       newline=st.sampled_from(["\n", "\r\n"]))
+       newline=st.sampled_from(["\n", "\r\n", "\r"]))
 def test_estimate_from_columns_matches_rows(name, seed, mutations, newline):
     gen = rng(seed)
     text = counts_text(gen, {**SPACES, **ODD_SPACES}[name], fractional=bool(seed % 2))
