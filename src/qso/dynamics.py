@@ -51,14 +51,15 @@ as a Mendelian one its table of nonzero coefficients.  All of them give
 einsum's bits.
 
 The Newton polish solves for each step's direction in NumPy and halves the
-step until a candidate improves the residual (``_halve``); with a scalar
-block it halves in Python floats (``_halve_floats``), imaging through
-``q._raw``, in the same operations and order, so with the same bits: sums
-of fewer than 8 terms are left folds, as in ``np.add.reduce``; NaN fails
+step until a candidate improves the residual.  One loop, ``_halve``, halves
+for every operator in Python floats, imaging through ``q._raw`` where the
+operator has one and ``reduced_step`` otherwise, with the operations of
+the same loop in NumPy arrays in their order, so with their bits: its sums
+(``_sum``) are ``np.add.reduce``'s, a left fold up to 4 terms; NaN fails
 the non-negativity test; a candidate NumPy divides into NaN, whose residual
 is NaN, is skipped, so ``raw`` sees only finite input; the exit compares
-bytes.  That polishes the bench's 200 Rh and ABO orbit ends in 19 ms, not
-32 ms (best of 21, one x86-64 core).
+bytes.  With ``raw`` that polishes the bench's 200 Rh and ABO orbit ends
+in 19 ms, not 32 ms (best of 21, one x86-64 core).
 
 A matrix-form step ``(A @ y) @ y`` would be faster for large n, but it
 rounds differently by a few ulp, which shows in 12-digit output near a
@@ -325,13 +326,12 @@ def _newton_refine(q: ReducedQso, y: np.ndarray,
     eye = np.eye(n)
     a = np.ones((n + 1, n))  # [I - J; ones], rows 0..n-1 rewritten per step
     rhs = np.zeros(n + 1)    # [y - V(y); 0]
-    halve = _halve if q._raw is None else _halve_floats
     best, best_image, best_res = y, image, _l1(image, y)
     for _ in range(_NEWTON_STEPS):
         np.subtract(best, best_image, out=rhs[:n])
         np.subtract(eye, jacobian(q, best), out=a[:n])
         d, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        found = halve(q, best, d, best_res)
+        found = _halve(q, best, d, best_res)
         if found is None:
             break
         best, best_image, best_res = found
@@ -344,45 +344,37 @@ def _halve(q: ReducedQso, best: np.ndarray, d: np.ndarray, best_res: float):
     """``(point, image, residual)`` for the first t = 1, 1/2, ... (``_NEWTON_HALVINGS`` tries)
     at which ``best - t d`` lies in the simplex and, normalized, beats
     ``best_res``.  None if none does, known early once ``best - t d`` is
-    ``best`` to the bit: rounding is monotone, so every smaller t does too."""
-    t = 1.0
-    for _ in range(_NEWTON_HALVINGS):
-        moved = best - t * d
-        if moved.min() >= 0.0:
-            cand = moved / moved.sum()
-            cand_image = reduced_step(q, cand)
-            res = _l1(cand_image, cand)
-            if res < best_res:
-                return cand, cand_image, res
-        if np.array_equal(moved.view(np.uint64), best.view(np.uint64)):
-            return None
-        t /= 2.0
-    return None
-
-
-def _halve_floats(q: ReducedQso, best: np.ndarray, d: np.ndarray, best_res: float):
-    """``_halve`` in Python floats through ``q._raw``, bitwise equal to it
-    (see the module docstring)."""
-    raw, fold = q._raw, functools.reduce
+    ``best`` to the bit: rounding is monotone, so every smaller t does too.
+    Python floats, bitwise equal to the same loop in NumPy arrays (see the
+    module docstring)."""
+    image = q._raw or (lambda *y: reduced_step(q, np.array(y)).tolist())
     point, d, at = best.tolist(), d.tolist(), best.tobytes()
     pack = struct.Struct(f"{len(point)}d").pack
     t = 1.0
     for _ in range(_NEWTON_HALVINGS):
         moved = [b - t * e for b, e in zip(point, d)]
         if all(map((0.0).__le__, moved)):  # NaN fails, as it fails moved.min() >= 0.0
-            total = fold(add, moved)
+            total = _sum(moved)
             # NumPy divides a zero total, or inf by an inf total, into NaN,
             # whose residual is NaN and never improves; raw needs finite input
             if total and (total < math.inf or math.inf not in moved):
                 cand = [m / total for m in moved]
-                cand_image = raw(*cand)
-                res = fold(add, map(abs, map(sub, cand_image, cand)))
+                cand_image = image(*cand)
+                res = _sum(list(map(abs, map(sub, cand_image, cand))))
                 if res < best_res:
                     return np.array(cand), np.array(cand_image), res
         if pack(*moved) == at:
             return None
         t /= 2.0
     return None
+
+
+def _sum(values: list) -> float:
+    """``np.add.reduce(values)`` to the bit.  NumPy adds fewer than 8 values
+    one by one to 0.0; up to 4, that left fold is faster in Python."""
+    if len(values) <= 4:
+        return functools.reduce(add, values, 0.0)
+    return float(np.add.reduce(values))
 
 
 def find_fixed_point(q: ReducedQso, y0: ReducedDistribution, tol: float = DEFAULT_TOL,

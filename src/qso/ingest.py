@@ -50,15 +50,18 @@ source over its bytes, ``_Lines``: each pass decodes them from the top
 through a fresh ``io.TextIOWrapper`` (universal newlines, so only ``\n``,
 ``\r\n`` and ``\r`` end a line), after one whole-file UTF-8 check that
 ASCII files skip.  The head and the fast loop share one pass and the
-per-line loop makes its own.  The fast loop appends to typed
-``array.array`` columns, and ``save_measure_family`` writes one parent
+per-line loop makes its own.  Both loops append to typed ``array.array``
+columns; the per-line loop marks the cells and parent pairs it has seen in
+two ``bytearray``s, a byte each.  ``save_measure_family`` writes one parent
 pair's rows at a time.  On the ``ingest-pipeline`` bench's 84,074-row,
 1.4 MB counts file and its 3.2 MB family (Python 3.11, x86-64), the
 ``tracemalloc`` peaks above each call's start are 4.2 MB for
 ``load_counts``, 0.8 MB for ``save_measure_family`` and 6.3 MB for
 ``load_measure_family`` (13.7, 15.0 and 16.9 MB with the text and its lines
 held whole), and the first ``rows`` read peaks at 8.8 MB for the 8.7 MB it
-keeps (12.8 MB with two whole-column lists).
+keeps (12.8 MB with two whole-column lists).  With one row padded, so that
+the per-line loop reads the counts file, ``load_counts`` peaks at 4.2 MB
+too (13.5 MB with lists and sets).
 """
 
 from __future__ import annotations
@@ -308,11 +311,11 @@ def _parse_rows(space: GenotypeSpace, lines: _Lines, start: int, nonnegative: bo
     non-negative when ``nonnegative``, no repeated cell, contiguous parent
     pairs), so the first faulty line is the one reported.
     """
-    total = space.total
-    cells = []
-    values = []
-    seen_cells: set[int] = set()
-    pairs: set[int] = set()
+    m, total = space.m, space.total
+    cells = array.array(np.dtype(np.intp).char)
+    values = array.array("d")
+    seen_cells = bytearray(m * m * total)  # a byte a cell; the fast loop's bincount takes 8
+    seen_pairs = bytearray(m * m)
     current = None
     for line_no, line in itertools.islice(enumerate(lines, start=1), start, None):
         stripped = line.strip()
@@ -342,15 +345,15 @@ def _parse_rows(space: GenotypeSpace, lines: _Lines, start: int, nonnegative: bo
         if nonnegative and v < 0:
             raise InvariantViolation(f"line {line_no}: negative count {v}")
         pair, s = divmod(cell, total)
-        if cell in seen_cells:
+        if seen_cells[cell]:
             raise SchemaError(f"line {line_no}: duplicate row for pair "
-                              f"{divmod(pair, space.m)}, child {s}")
-        seen_cells.add(cell)
+                              f"{divmod(pair, m)}, child {s}")
+        seen_cells[cell] = 1
         if pair != current:
-            if pair in pairs:
-                raise SchemaError(f"rows for parent pair {divmod(pair, space.m)} "
+            if seen_pairs[pair]:
+                raise SchemaError(f"rows for parent pair {divmod(pair, m)} "
                                   "are not contiguous")
-            pairs.add(pair)
+            seen_pairs[pair] = 1
             current = pair
         cells.append(cell)
         values.append(v)

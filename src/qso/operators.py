@@ -78,8 +78,9 @@ than the spread between rounds, so the cutoff stays at 4:
 A coefficient of 1.0 multiplies nothing (``1.0 * x`` is ``x`` for every
 double), and every other coefficient is written into the code as a literal
 that reads back as the same double.  The same ``compile`` makes ``raw``
-from the same expressions, one raw step to a tuple, with which the Newton
-polish of ``dynamics`` images its candidates.
+from the same expressions, one raw step to a tuple, with which the one
+halving loop of the Newton polish in ``dynamics`` images its candidates;
+for an operator without ``raw`` it calls ``reduced_step``.
 
 The constructor builds the kernels once its checks pass: the table (2.2 ms
 at n = 64, 18.7 ms at n = 128) and the block with its raw step (0.15 ms at

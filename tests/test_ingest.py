@@ -806,7 +806,7 @@ def traced(fn):
     return result, held, peak
 
 
-def test_table_io_peaks_stay_in_proportion_to_the_columns(tmp_path):
+def test_table_io_peaks_stay_in_proportion_to_the_columns(tmp_path, monkeypatch):
     # an 18,522-row canonical counts file and the 18,522-row family it estimates;
     # readers that held the whole text and its lines, and a writer that joined
     # every line, peaked at 9.7x, 4.7x and 5.2x these files' sizes, and a rows
@@ -821,6 +821,19 @@ def test_table_io_peaks_stay_in_proportion_to_the_columns(tmp_path):
     load_counts(counts_path)  # a first call, so one-off costs are not counted
     table, _, peak = traced(lambda: load_counts(counts_path))
     assert peak < 4 * counts_path.stat().st_size
+    # a padded last row sends the file to the per-line reader, which held its
+    # columns as lists and its seen cells and pairs as sets, at 8.1x the file
+    lines = counts_path.read_text().splitlines(True)
+    lines[-1] = " " + lines[-1]
+    padded_path = tmp_path / "padded.csv"
+    padded_path.write_text("".join(lines))
+    per_line = []
+    parse_rows = ingest._parse_rows
+    monkeypatch.setattr(ingest, "_parse_rows", lambda *a: per_line.append(1) or parse_rows(*a))
+    padded, _, peak = traced(lambda: load_counts(padded_path))
+    assert per_line == [1]
+    assert peak < 4 * counts_path.stat().st_size
+    assert [c.tobytes() for c in padded._columns] == [c.tobytes() for c in table._columns]
     family = estimate_measures(space, table, symmetrize=True)
     _, _, peak = traced(lambda: save_measure_family(family, family_path))
     assert peak < family_path.stat().st_size

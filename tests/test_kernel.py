@@ -332,6 +332,18 @@ def test_add_reduce_of_up_to_four_elements_is_the_left_fold():
     assert regrouped > 200
 
 
+def test_polish_sum_is_add_reduce_at_every_length():
+    # a left fold up to 4 values, np.add.reduce above: NumPy's sum either way,
+    # from the leading -0.0, which NumPy adds to 0.0, to pairwise sums of 8+
+    gen = rng(802)
+    for length in range(1, 41):
+        for _ in range(50):
+            values = spread_magnitudes(gen, length)
+            values[0] = -0.0
+            assert np.float64(dynamics._sum(values.tolist())).tobytes() == \
+                np.add.reduce(values).tobytes()
+
+
 def left_sum(terms):
     """``terms`` added one by one to 0.0."""
     total = 0.0
@@ -688,22 +700,65 @@ def test_newton_polish_matches_the_halving_loop_with_fewer_steps(monkeypatch, me
     assert (sum(new_calls) < sum(old_calls)) == saves
 
 
+# random_sparse_qso operators whose sparse table, not einsum, steps them
+SPARSE_CASES = [(24, 0.02, 801), (40, 0.05, 802), (64, 0.05, 803), (96, 0.03, 804)]
+
+
+def array_halve(q, best, d, best_res):
+    """``(point, image, residual)`` for the first t = 1, 1/2, ... (``_NEWTON_HALVINGS`` tries)
+    at which ``best - t d`` lies in the simplex and, normalized, beats
+    ``best_res``.  None if none does, known early once ``best - t d`` is
+    ``best`` to the bit: rounding is monotone, so every smaller t does too.
+
+    ``dynamics._halve`` in NumPy arrays, the oracle whose bits it must give."""
+    t = 1.0
+    for _ in range(dynamics._NEWTON_HALVINGS):
+        moved = best - t * d
+        if moved.min() >= 0.0:
+            cand = moved / moved.sum()
+            cand_image = qso.operators.reduced_step(q, cand)
+            res = dynamics._l1(cand_image, cand)
+            if res < best_res:
+                return cand, cand_image, res
+        if np.array_equal(moved.view(np.uint64), best.view(np.uint64)):
+            return None
+        t /= 2.0
+    return None
+
+
 def array_polish(q, y):
-    """``_newton_refine`` from ``y`` with ``q`` held to the array halving."""
-    raw = q._raw
-    object.__setattr__(q, "_raw", None)
+    """``_newton_refine`` from ``y`` with its halving done by ``array_halve``."""
+    halve = dynamics._halve
+    dynamics._halve = array_halve
     try:
         with np.errstate(all="ignore"):
             return dynamics._newton_refine(q, y, qso.operators.reduced_step(q, y))
     finally:
-        object.__setattr__(q, "_raw", raw)
+        dynamics._halve = halve
+
+
+@st.composite
+def einsum_qso(draw):
+    """Symmetric operators at n = 5..12, which image by einsum, with some
+    coefficients 0.0; their sums of 8 or more terms go pairwise in NumPy."""
+    n = draw(st.integers(5, 12))
+    return random_sparse_qso(rng(draw(st.integers(0, 2**32 - 1))), n,
+                             draw(st.floats(0.2, 1.0)))
+
+
+@functools.cache
+def sparse_case_qso(n, density, seed):
+    return random_sparse_qso(rng(seed), n, density)
 
 
 @settings(max_examples=40, deadline=None)
-@given(q=st.one_of(signed_zero_qso(), pooled_coefficient_qso()).filter(lambda q: q.n >= 2),
+@given(q=st.one_of(signed_zero_qso(), pooled_coefficient_qso(), einsum_qso(),
+                   st.sampled_from(SPARSE_CASES).map(lambda case: sparse_case_qso(*case))
+                   ).filter(lambda q: q.n >= 2),
        seed=st.integers(0, 2**32 - 1))
 def test_float_polish_matches_the_array_polish_bitwise(q, seed):
-    assert q._raw is not None
+    # images by the raw step up to 4 types, einsum up to 12, the sparse table above
+    assert (q._raw is not None, q._table is not None) == (q.n <= 4, q.n >= 24)
     gen = rng(seed)
     with np.errstate(all="ignore"):
         starts = [*newton_starts(q, random_simplex(gen, q.n)),
@@ -721,17 +776,19 @@ def test_float_polish_matches_the_array_polish_bitwise(q, seed):
                               "zero-sum"])
 def test_float_halving_matches_the_array_halving_on_an_odd_direction(d):
     # the moved points hold NaN, inf or -inf, or sum to inf or to zero; the
-    # candidates are NaN (inf / inf, 0 / 0) or all 0.0 (x / inf)
-    q = qso.rh_model()[0]
-    best = np.array([0.3, 0.7])
-    best_res = dynamics._l1(qso.operators.reduced_step(q, best), best)
-    found = dynamics._halve_floats(q, best, np.array(d), best_res)
-    with np.errstate(all="ignore"):
-        expected = dynamics._halve(q, best, np.array(d), best_res)
-    assert (found is None) == (expected is None)
-    if found is not None:
-        assert [np.float64(v).tobytes() for v in found] == [
-            np.float64(v).tobytes() for v in expected]
+    # candidates are NaN (inf / inf, 0 / 0) or all 0.0 (x / inf); Rh images
+    # through its raw step, the n = 5 operator through reduced_step
+    for q in (qso.rh_model()[0], qso.multi_allele([0.2, 0.15, 0.1, 0.03, 0.02])):
+        pad = [0.0] * (q.n - 2)
+        best = np.array([0.3, 0.7, *pad])
+        best_res = dynamics._l1(qso.operators.reduced_step(q, best), best)
+        with np.errstate(all="ignore"):  # NumPy warns of the overflowing sum
+            found = dynamics._halve(q, best, np.array([*d, *pad]), best_res)
+            expected = array_halve(q, best, np.array([*d, *pad]), best_res)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert [np.float64(v).tobytes() for v in found] == [
+                np.float64(v).tobytes() for v in expected]
 
 
 # Operators with more than 4 types whose child-major table of nonzero
@@ -780,9 +837,6 @@ def test_reduced_step_without_a_table_is_one_einsum_call(monkeypatch):
         assert operators.reduced_step(q, y).tobytes() == expected.tobytes()
     assert q._table is None
     assert calls == ["ijk,i,j->k"] * 3
-
-
-SPARSE_CASES = [(24, 0.02, 801), (40, 0.05, 802), (64, 0.05, 803), (96, 0.03, 804)]
 
 
 @pytest.mark.parametrize("n,density,seed", SPARSE_CASES + [(5, 0.2, 805), (8, 0.1, 806)])
