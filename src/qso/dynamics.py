@@ -370,11 +370,13 @@ def _halve(q: ReducedQso, best: np.ndarray, d: np.ndarray, best_res: float):
 
 
 def _sum(values: list) -> float:
-    """``np.add.reduce(values)`` to the bit.  NumPy adds fewer than 8 values
-    one by one to 0.0; up to 4, that left fold is faster in Python."""
+    """``np.add.reduce(values)`` to the bit, silent on overflow as the fold
+    is.  NumPy adds fewer than 8 values one by one to 0.0; up to 4, that left
+    fold is faster in Python."""
     if len(values) <= 4:
         return functools.reduce(add, values, 0.0)
-    return float(np.add.reduce(values))
+    with np.errstate(over="ignore"):
+        return float(np.add.reduce(values))
 
 
 def find_fixed_point(q: ReducedQso, y0: ReducedDistribution, tol: float = DEFAULT_TOL,

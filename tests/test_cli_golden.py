@@ -54,7 +54,7 @@ INVOCATIONS = {
     # n = 5, a polish whose halving images go through the einsum step
     "fixpoint-multi-0.2,0.1,0.1,0.05,0.05": ["fixpoint", "--model", "multi",
                                              "--alphas", "0.2,0.1,0.1,0.05,0.05"],
-    "fixpoint-abo-random7":["fixpoint", "--model", "abo", "--start", "random:7"],
+    "fixpoint-abo-random7": ["fixpoint", "--model", "abo", "--start", "random:7"],
     "run-abo-3000-stride7-csv": ["run", "--model", "abo", "--max-iters", "3000",
                                  "--stride", "7"],
 }

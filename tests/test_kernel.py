@@ -751,7 +751,8 @@ def sparse_case_qso(n, density, seed):
     return random_sparse_qso(rng(seed), n, density)
 
 
-@settings(max_examples=40, deadline=None)
+# four strategies: 80 draws keep about 40 on the two n <= 4 ones
+@settings(max_examples=80, deadline=None)
 @given(q=st.one_of(signed_zero_qso(), pooled_coefficient_qso(), einsum_qso(),
                    st.sampled_from(SPARSE_CASES).map(lambda case: sparse_case_qso(*case))
                    ).filter(lambda q: q.n >= 2),
@@ -782,8 +783,9 @@ def test_float_halving_matches_the_array_halving_on_an_odd_direction(d):
         pad = [0.0] * (q.n - 2)
         best = np.array([0.3, 0.7, *pad])
         best_res = dynamics._l1(qso.operators.reduced_step(q, best), best)
-        with np.errstate(all="ignore"):  # NumPy warns of the overflowing sum
-            found = dynamics._halve(q, best, np.array([*d, *pad]), best_res)
+        # the production loop must stay silent; the oracle warns, as NumPy does
+        found = dynamics._halve(q, best, np.array([*d, *pad]), best_res)
+        with np.errstate(all="ignore"):
             expected = array_halve(q, best, np.array([*d, *pad]), best_res)
         assert (found is None) == (expected is None)
         if found is not None:
