@@ -48,7 +48,10 @@ a whole block in Python floats, when it has at most 4 types; otherwise, or
 where that block declines a zero total, the step of ``operators._stepper``,
 which ``reduced_step`` shares: einsum, or for a mostly-zero operator such
 as a Mendelian one its table of nonzero coefficients.  All of them give
-einsum's bits.
+einsum's bits.  That step divides by a zero total silently, into the inf or
+NaN rows that ``run`` prints; ``find_fixed_point`` stops at such a point
+(its residual is not finite) with ``DistributionOutsideHyperSimplex``,
+before LAPACK sees it.
 
 The Newton polish solves for each step's direction in NumPy and halves the
 step until a candidate improves the residual.  One loop, ``_halve``, halves
@@ -82,7 +85,8 @@ from operator import add, sub
 import numpy as np
 
 from . import operators
-from .errors import AlphaOutOfRange, InvalidCoefficients, NoConvergence
+from .errors import (AlphaOutOfRange, DistributionOutsideHyperSimplex, InvalidCoefficients,
+                     NoConvergence)
 from .genotype import _integer
 from .operators import (_DEGENERATE_TOL, _NEWTON_FLOOR, CLASSIFY_MARGIN, ROUNDING_TOL,
                         ReducedDistribution, ReducedQso, _check_types, _frozen, _read_only,
@@ -204,9 +208,11 @@ def _orbit(q: ReducedQso, y0: np.ndarray, max_iters: int, tol: float):
         b = min(size, max_iters - k)
         if block is None or not block(buf, b):
             rows = list(buf[:b + 1])
-            for prev, row in zip(rows, rows[1:]):
-                step(prev, row)
-                row /= total(row)
+            # a zero total divides into the inf or NaN row that the orbit keeps
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for prev, row in zip(rows, rows[1:]):
+                    step(prev, row)
+                    row /= total(row)
         steps = np.abs(buf[1:b + 1] - buf[:b]).sum(axis=1)
         hit = np.flatnonzero(steps < tol)
         if hit.size:
@@ -326,7 +332,9 @@ def _newton_refine(q: ReducedQso, y: np.ndarray,
     eye = np.eye(n)
     a = np.ones((n + 1, n))  # [I - J; ones], rows 0..n-1 rewritten per step
     rhs = np.zeros(n + 1)    # [y - V(y); 0]
-    best, best_image, best_res = y, image, _l1(image, y)
+    # a finite residual makes the first system finite; each later point passed
+    # _halve, so it lies on the simplex and has a finite image
+    best, best_image, best_res = y, image, _finite(_l1(image, y))
     for _ in range(_NEWTON_STEPS):
         np.subtract(best, best_image, out=rhs[:n])
         np.subtract(eye, jacobian(q, best), out=a[:n])
@@ -379,6 +387,16 @@ def _sum(values: list) -> float:
         return float(np.add.reduce(values))
 
 
+def _finite(residual: float) -> float:
+    """``residual`` if it is finite.  Otherwise the point or its image is not
+    (or their difference overflows): the orbit has left the simplex, and LAPACK
+    would fail on, or print about, the Jacobian and the Newton system."""
+    if not math.isfinite(residual):
+        raise DistributionOutsideHyperSimplex(
+            f"non-finite residual {residual}: the orbit left the simplex")
+    return residual
+
+
 def find_fixed_point(q: ReducedQso, y0: ReducedDistribution, tol: float = DEFAULT_TOL,
                      max_iters: int = DEFAULT_MAX_ITERS, refine: bool = True) -> FixedPointReport:
     """Locate a fixed point by iteration plus Newton refinement and classify
@@ -397,7 +415,7 @@ def find_fixed_point(q: ReducedQso, y0: ReducedDistribution, tol: float = DEFAUL
     if refine:
         y, residual = _newton_refine(q, y, image)
     else:
-        residual = _l1(image, y)
+        residual = _finite(_l1(image, y))
     rho = tangent_spectral_radius(q, y)
     report = FixedPointReport(
         point=ReducedDistribution(y),

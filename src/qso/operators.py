@@ -7,11 +7,20 @@ ratio at p:q forever; for the 1:1 case it can be reduced to an n-type
 quadratic stochastic operator acting on the ordinary simplex via
 ``y_k = 2 * x_k``.
 
-Construction and validation are whole-array operations: the Mendelian
-offspring sets of all parent pairs form one boolean mask (an outer product
-of per-component masks), and the validators reduce every pair's row at once.
-Both are bitwise equal to per-pair loops; summing zero-padded rows for the
-offspring-set masses instead would move coefficients by up to 4 ulp.
+Construction and validation are whole-array operations, bitwise equal to
+per-pair loops.  The Mendelian offspring sets of all parent pairs form one
+boolean mask (an outer product of per-component masks).  A pair's set is
+fixed by the smaller and the larger parental allele at each component, so
+the m^2 pairs share prod L(L+1)/2 sets (2,187 of 16,384 pairs at m = 128).
+Each set's base-measure mass is summed once, over its members gathered into
+one row as the per-pair formula sums them (summing zero-padded rows instead
+would move coefficients by up to 4 ulp); its row of coefficients is filled
+in one masked division ``(2 mu0) / mass``, the formula's own, as doubling
+is exact; and each pair copies its set's row.  The validators walk the
+pairs in blocks: every row sum is taken, and a block that one cheap test
+clears for a check (its minimum, equal female and male halves, no nonzero
+value off the support) skips that check's per-row statistic, which no
+cleared row could trip.
 
 Every value type stores its arrays through ``_checked``: read-only, of the
 declared shape, and finite, since NaN passes every range check.  Only a
@@ -24,8 +33,9 @@ large tensor is never copied on construction.  Each operand rule (the
 female/male gap, the sex ratio, the simplex, a point's type count, a shared
 space, the 1:1 ratio) is stated once, in one ``_check_*`` function.  The
 checks that need full-size temporaries (the finiteness scan, that gap, the
-reduced operator's parent symmetry and the ratio and support checks of
-``_pair_violations``) walk the first axis in blocks of about 1 MiB.
+reduced operator's parent symmetry and the checks of ``_pair_violations``)
+walk the first axis in blocks of about 1 MiB; the gap and the symmetry
+check skip the difference of a block whose two operands are equal.
 
 ``reduced_step``, which the residuals and the Newton polish of
 ``dynamics`` call, and the orbit kernel both take one quadratic step
@@ -46,12 +56,9 @@ sum, steps by einsum.  The table is used when it fills at most
 ``_SPARSE_MAX_FILL`` = 1/4 of n^3, counting each chunk's NumPy calls as
 ``_CHUNK_CELLS`` more cells; a table term costs about 3 ns against einsum's
 1 ns, so it then wins at least 1.3x.  Dense operators, such as one
-estimated from counts, and any with fewer than 22 types keep einsum.  Per
-step on Mendelian operators (microseconds, one core, best of 5):
-
-    n        64    128
-    sparse   147   871
-    einsum   276   2153
+estimated from counts, and any with fewer than 22 types keep einsum.
+The bench records at the repository root (``BENCH_*.json``) time the
+``mendelian-wide`` pass, whose Mendelian solves step so.
 
 Operators with at most ``_SCALAR_MAX_N`` = 4 types, which include every
 model of the paper (the trait operator and Rh have n = 2, ABO n = 4), step
@@ -186,7 +193,10 @@ def _blocks(arr: np.ndarray) -> list[slice]:
 
 
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> np.float64:
-    """``max |a - b|`` with one temporary, freed on return."""
+    """``max |a - b|`` with one temporary, freed on return; 0.0 without one
+    when ``a`` equals ``b``, which for finite values is the same."""
+    if np.array_equal(a, b):
+        return np.float64(0.0)
     diff = np.subtract(a, b)
     return np.abs(diff, out=diff).max()
 
@@ -454,23 +464,39 @@ def mendelian_coefficients(space: GenotypeSpace, mu0: Distribution) -> HeredityT
         support = (mask[:, None, :, None, :, None]
                    & support[None, :, None, :, None, :]).reshape(n * k, n * k, n * k)
     support = np.concatenate([support, support], axis=2)      # both child genders
+    # a pair's offspring set, and with it its row of coefficients, is fixed by
+    # the componentwise smaller and larger alleles of its parents: pair (i, j)
+    # shares it with pair (low, high), one of the prod L(L+1)/2 pairs that are
+    # their own (low, high), and ``of_pair`` numbers those sets
+    shape = [len(comp) for comp in space.components]
+    alleles = np.array(np.unravel_index(np.arange(m), shape))
+    mother, father = alleles[:, :, None], alleles[:, None, :]
+    key = (np.ravel_multi_index(np.minimum(mother, father), shape) * m
+           + np.ravel_multi_index(np.maximum(mother, father), shape))
+    own = np.flatnonzero(key.reshape(-1) == np.arange(m * m))
+    of_pair = np.empty(m * m, dtype=np.intp)
+    of_pair[own] = np.arange(len(own))
+    of_pair = of_pair[key]
     # sum each offspring set as one gathered row, as the per-pair formula
     # does: zero-padded rows would regroup NumPy's pairwise sum (by <= 4 ulp)
-    sizes = support.sum(axis=2)
-    mass = np.empty((m, m))
+    members = support.reshape(m * m, space.total)[own]
+    sizes = np.count_nonzero(members, axis=1)
+    mass = np.empty(len(own))
     for size in np.unique(sizes):
-        pairs = sizes == size
-        values = np.broadcast_to(mu0.values, (np.count_nonzero(pairs), space.total))
-        mass[pairs] = values[support[pairs]].reshape(-1, size).sum(axis=1)
-    zero = np.flatnonzero(mass <= 0.0)
+        sets = sizes == size
+        values = np.broadcast_to(mu0.values, (np.count_nonzero(sets), space.total))
+        mass[sets] = values[members[sets]].reshape(-1, size).sum(axis=1)
+    zero = np.flatnonzero(mass[of_pair] <= 0.0)
     if zero.size:
         i, j = divmod(int(zero[0]), m)
         raise ZeroMassOffspringSet(
             f"offspring set of pair ({_pair_label(space, i, j)}) has zero base-measure mass"
         )
-    coeffs = np.where(support, mu0.values, 0.0)
-    coeffs *= 2.0
-    coeffs /= mass[:, :, None]
+    # each set's row is (2 v) / mass on its members, the formula's own division
+    # as doubling is exact, and each pair copies its set's row
+    rows = np.divide(2.0 * mu0.values, mass[:, None], out=np.zeros(members.shape),
+                     where=members)
+    coeffs = rows[of_pair]
     return HeredityTensor(space, (0.5, 0.5), _frozen(coeffs), _frozen(support))
 
 
@@ -501,8 +527,8 @@ def _pair_violations(space: GenotypeSpace, rows: np.ndarray, tol: float,
                      expected: float, weights: tuple[float, float], messages: dict,
                      support: np.ndarray | None = None) -> list[Violation]:
     """Check the 2m child values ``rows[i, j]`` of every parent pair with
-    whole-array reductions; the violations, their order and every value are
-    those a loop over single rows finds, to the bit: ``negative``
+    reductions over blocks of pairs; the violations, their order and every
+    value are those a loop over single rows finds, to the bit: ``negative``
     (smallest value), ``normalization`` (row sum against ``expected``),
     ``ratio`` (largest ``|wq * female - wp * male|`` for ``(wp, wq) = weights``)
     and ``support`` (largest ``|value|`` off ``support``).  ``messages[kind]``
@@ -512,34 +538,40 @@ def _pair_violations(space: GenotypeSpace, rows: np.ndarray, tol: float,
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
-    m = rows.shape[2] // 2
     wp, wq = weights
-    smallest = rows.min(axis=2)
-    negative = smallest < -tol
-    low = np.zeros(smallest.shape, dtype=np.intp)
-    # argmin of flagged rows only: on a read-only array NumPy copies all of it
-    low[negative] = rows[negative].argmin(axis=1)
-    total = rows.sum(axis=2)
-    miss = np.abs(total - expected)
-    worst, gap = np.empty(smallest.shape, dtype=np.intp), np.empty(smallest.shape)
+    pairs = rows.shape[:2]
+    total = np.empty(pairs)
+    # per-row statistics that stay 0.0, which no check flags, in a block
+    # whose one cheap test clears every row; exact wherever a row can be flagged
+    smallest, gap, reach = np.zeros(pairs), np.zeros(pairs), np.zeros(pairs)
     for b in _blocks(rows):
-        cross = np.multiply(rows[b, :, :m], wq)
-        cross -= np.multiply(rows[b, :, m:], wp)
-        np.abs(cross, out=cross)
-        worst[b], gap[b] = cross.argmax(axis=2), cross.max(axis=2)
-        del cross  # before the next block's
+        block = rows[b]
+        total[b] = block.sum(axis=2)
+        if not block.min() >= -tol:  # NaN too
+            smallest[b] = block.min(axis=2)
+        # equal halves give equal weights a zero (or NaN) gap
+        half = block.shape[2] // 2
+        if wp != wq or not np.array_equal(block[..., :half], block[..., half:]):
+            gap[b] = _ratio_gaps(block, wp, wq).max(axis=2)
+        # only a nonzero value off the support (or NaN) can be flagged
+        if support is not None and (np.not_equal(block, 0.0) > support[b]).any():
+            reach[b] = _off_support(block, support[b]).max(axis=2)
+    miss = np.abs(total - expected)
+    # the child of flagged rows only: on a read-only array NumPy copies all of it
+    negative, ratio, far_off = smallest < -tol, gap > tol, reach > tol
+    low, worst = np.zeros(pairs, dtype=np.intp), np.zeros(pairs, dtype=np.intp)
+    low[negative] = rows[negative].argmin(axis=1)
+    worst[ratio] = _ratio_gaps(rows[ratio], wp, wq).argmax(axis=1)
     checks = [("negative", negative, low, smallest, smallest, None),
               ("normalization", miss > tol, None, miss, total, None),
-              ("ratio", gap > tol, worst, gap, gap, space.trait_label)]
+              ("ratio", ratio, worst, gap, gap, space.trait_label)]
     if support is not None:
-        far, reach = np.empty_like(worst), np.empty_like(gap)
-        for b in _blocks(rows):
-            off = np.abs(rows[b])
-            np.copyto(off, 0.0, where=support[b])
-            far[b], reach[b] = off.argmax(axis=2), off.max(axis=2)
-            del off
-        signed = np.take_along_axis(rows, far[..., None], axis=2)[..., 0]
-        checks.append(("support", reach > tol, far, reach, signed, space.label))
+        off_rows = rows[far_off]
+        far = np.zeros(pairs, dtype=np.intp)
+        far[far_off] = _off_support(off_rows, support[far_off]).argmax(axis=1)
+        signed = np.zeros(pairs)
+        signed[far_off] = np.take_along_axis(off_rows, far[far_off][:, None], axis=1)[:, 0]
+        checks.append(("support", far_off, far, reach, signed, space.label))
     flagged = np.logical_or.reduce([bad for _, bad, *_ in checks])
     out = []
     for i, j in np.argwhere(flagged):
@@ -551,6 +583,21 @@ def _pair_violations(space: GenotypeSpace, rows: np.ndarray, tol: float,
                 out.append(Violation(kind, (int(i), int(j)), k, float(magnitude[i, j]),
                                      f"pair ({_pair_label(space, i, j)}) {message}"))
     return out
+
+
+def _ratio_gaps(rows: np.ndarray, wp: float, wq: float) -> np.ndarray:
+    """``|wq * female - wp * male|`` per child over the last axis (female half first)."""
+    half = rows.shape[-1] // 2
+    cross = np.multiply(rows[..., :half], wq)
+    cross -= np.multiply(rows[..., half:], wp)
+    return np.abs(cross, out=cross)
+
+
+def _off_support(rows: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """``|rows|``, with 0.0 where ``support`` holds."""
+    off = np.abs(rows)
+    np.copyto(off, 0.0, where=support)
+    return off
 
 
 def validate_pq(t: HeredityTensor, tol: float = VALIDATE_TOL) -> ValidationReport:

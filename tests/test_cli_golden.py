@@ -57,6 +57,14 @@ INVOCATIONS = {
     "fixpoint-abo-random7": ["fixpoint", "--model", "abo", "--start", "random:7"],
     "run-abo-3000-stride7-csv": ["run", "--model", "abo", "--max-iters", "3000",
                                  "--stride", "7"],
+    # a start 1e-12 outside the simplex doubles away from it until a step's
+    # total is zero: the run prints its NaN rows with no warning, and the
+    # fixpoint stops with an error before any LAPACK call
+    "run-trait-0.1-leaves-simplex": ["run", "--model", "trait", "--alpha", "0.1",
+                                     "--start", "1.000000000001,-1e-12", "--tol", "1e-300",
+                                     "--max-iters", "200"],
+    "fixpoint-trait-0.1-leaves-simplex": ["fixpoint", "--model", "trait", "--alpha", "0.1",
+                                          "--start", "1.000000000001,-1e-12"],
 }
 
 

@@ -152,16 +152,38 @@ SPACES = {
 }
 
 
+def base_with_zeros_and_subnormals(gen, space):
+    """Gender-symmetric within ``SYMMETRY_TOL``: a quarter of the female
+    entries are exact zeros beside male entries of 1e-12, and another
+    quarter are subnormal in both halves, so every offspring set keeps
+    nonzero mass."""
+    female = random_simplex(gen, space.m)
+    male = female.copy()
+    zero, tiny = gen.permutation(space.m)[:2 * (space.m // 4)].reshape(2, -1)
+    female[zero], male[zero] = 0.0, 1e-12
+    female[tiny] = male[tiny] = 5e-324 * gen.integers(1, 1000, len(tiny))
+    return Distribution(space, np.concatenate([female / (2.0 * female.sum()),
+                                               male / (2.0 * male.sum())]))
+
+
+# spaces whose construction is also checked on base_with_zeros_and_subnormals
+EDGE_SPACES = ("biallelic-7", "mixed-3-2-2")
+
+
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_mendelian_matches_per_pair_construction(name):
     space = build_space(SPACES[name])
-    base = random_base(rng(len(name) + 1000 * space.m), space)
-    t = mendelian_coefficients(space, base)
-    coeffs, support = per_pair_mendelian(space, base)
-    assert np.array_equal(t.support, support)
-    # mass is summed over the same gathered members as the per-pair loop,
-    # so the coefficients agree to 0 ulp
-    assert np.array_equal(t.coefficients, coeffs)
+    gen = rng(len(name) + 1000 * space.m)
+    bases = [random_base(gen, space)]
+    if name in EDGE_SPACES:
+        bases.append(base_with_zeros_and_subnormals(gen, space))
+    for base in bases:
+        t = mendelian_coefficients(space, base)
+        coeffs, support = per_pair_mendelian(space, base)
+        assert np.array_equal(t.support, support)
+        # each offspring set's mass is summed once, over the same gathered
+        # members as the per-pair loop, so the coefficients agree to 0 ulp
+        assert np.array_equal(t.coefficients, coeffs)
 
 
 @pytest.mark.parametrize("zeros", [

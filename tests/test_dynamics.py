@@ -8,6 +8,7 @@ import qso
 from qso import ReducedDistribution, ReducedQso, apply_reduced
 from qso.dynamics import (
     Trajectory,
+    _newton_refine,
     analyze_f_alpha,
     analyze_quadratic_1d,
     f_alpha,
@@ -17,7 +18,8 @@ from qso.dynamics import (
     regularity_check,
     tangent_spectral_radius,
 )
-from qso.errors import AlphaOutOfRange, DimensionMismatch, InvalidCoefficients, NoConvergence
+from qso.errors import (AlphaOutOfRange, DimensionMismatch, DistributionOutsideHyperSimplex,
+                        InvalidCoefficients, NoConvergence)
 
 from helpers import cyclic_shift_operator, random_regular_qso, random_simplex, rng
 
@@ -131,6 +133,33 @@ def test_no_convergence_carries_partial_report():
     assert report is not None
     assert report.residual > 1e-12
     assert report.iterations == 2
+
+
+def forbid_lapack(monkeypatch):
+    def called(*args, **kwargs):
+        raise AssertionError("LAPACK was called")
+
+    for name in ("lstsq", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, called)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_an_orbit_that_leaves_the_simplex_raises_before_lapack(monkeypatch, refine):
+    # the negative coordinate doubles each step until a step's total is
+    # zero; LAPACK would print DLASCL lines and fail on the NaN point
+    p = np.zeros((2, 2, 2))
+    p[0, 0, 0] = p[0, 1, 1] = p[1, 0, 1] = p[1, 1, 1] = 1.0
+    forbid_lapack(monkeypatch)
+    with pytest.raises(DistributionOutsideHyperSimplex, match="^non-finite residual nan"):
+        find_fixed_point(ReducedQso(2, p), ReducedDistribution([1.000000000001, -1e-12]),
+                         refine=refine)
+
+
+def test_a_non_finite_image_raises_before_the_newton_system_is_solved(monkeypatch):
+    q, _ = qso.rh_model()
+    forbid_lapack(monkeypatch)
+    with pytest.raises(DistributionOutsideHyperSimplex, match="^non-finite residual inf"):
+        _newton_refine(q, np.array([0.5, 0.5]), np.array([np.inf, 0.5]))
 
 
 @pytest.mark.parametrize("max_iters", [-1, -2, -3])

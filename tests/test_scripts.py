@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import qso
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def assert_rejected_before_output(script, args, message):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # the scripts import the qso these tests import: the source tree or an installed copy
+    env = {**os.environ, "PYTHONPATH": str(Path(qso.__file__).resolve().parent.parent)}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env,
