@@ -61,8 +61,9 @@ the same loop in NumPy arrays in their order, so with their bits: its sums
 (``_sum``) are ``np.add.reduce``'s, a left fold up to 4 terms; NaN fails
 the non-negativity test; a candidate NumPy divides into NaN, whose residual
 is NaN, is skipped, so ``raw`` sees only finite input; the exit compares
-bytes.  With ``raw`` that polishes the bench's 200 Rh and ABO orbit ends
-in 19 ms, not 32 ms (best of 21, one x86-64 core).
+bytes.  So its polished points and residuals equal the array loop's bit
+for bit (``tests/test_kernel.py`` keeps that loop as the oracle); its
+timing is in ``BENCH_pr27.json`` and CHANGES.md.
 
 A matrix-form step ``(A @ y) @ y`` would be faster for large n, but it
 rounds differently by a few ulp, which shows in 12-digit output near a

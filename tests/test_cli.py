@@ -366,6 +366,11 @@ def test_errors_exit_one(capsys, tmp_path):
     dup.write_text("# space: +,+\nmother,father,child_gender,child_type,value\n")
     code, _, err = run_cli(capsys, "validate", str(dup))
     assert code == 1 and err.startswith("error: line 1: component 0 repeats an allele label")
+    # a counts file whose line 3 holds a byte that is not UTF-8, at column 9
+    bad = tmp_path / "bad-byte.csv"
+    bad.write_bytes(b"# space: +,-\nmother,father,child_gender,child_type,count\n+,+,f,+,\xff\n")
+    code, out, err = run_cli(capsys, "ingest", str(bad), str(tmp_path / "family.csv"))
+    assert (code, out, err) == (1, "", "error: line 3, column 9: invalid UTF-8 byte 0xff\n")
 
 
 def test_bad_random_seed_is_one_error_line(capsys):

@@ -12,13 +12,18 @@ import qso
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def assert_rejected_before_output(script, args, message):
-    # the scripts import the qso these tests import: the source tree or an installed copy
+def run_script(script, *args):
+    # the scripts import the qso these tests import: the source tree or an
+    # installed copy; they run outside pytest, so every warning is made an error
     env = {**os.environ, "PYTHONPATH": str(Path(qso.__file__).resolve().parent.parent)}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+    return subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def assert_rejected_before_output(script, args, message):
+    proc = run_script(script, *args)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.endswith(f"{script}: error: {message}\n")
@@ -42,6 +47,16 @@ def test_trait_sweep_rejects_bad_alphas_before_sweeping(alphas, message):
 ])
 def test_scripts_reject_bad_numbers_before_output(script, args, message):
     assert_rejected_before_output(script, args, message)
+
+
+def test_scripts_run_to_completion_without_a_warning():
+    blood = run_script("blood_groups.py")
+    assert (blood.returncode, blood.stderr) == (0, "")
+    assert "== rh (n=2" in blood.stdout and "== abo (n=4" in blood.stdout
+    sweep = run_script("trait_sweep.py")
+    assert (sweep.returncode, sweep.stderr) == (0, "")
+    header, *rows = sweep.stdout.splitlines()
+    assert header.split()[0] == "alpha" and len(rows) == 7
 
 
 def test_sources_parse_under_the_declared_python_floor():
