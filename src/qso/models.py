@@ -79,8 +79,10 @@ def multi_allele(alphas) -> ReducedQso:
         raise ValueError("need at least two trait weights")
     if not np.all(arr > 0.0):  # so NaN fails too
         raise NonPositiveAlpha(f"weights must be strictly positive, got {arr.tolist()}")
-    if not abs(arr.sum() - 0.5) <= MASS_TOL:
-        raise BadSum(f"weights must sum to 1/2, got {arr.sum()}")
+    with np.errstate(over="ignore"):  # a huge finite total is inf, and fails
+        total = arr.sum()
+    if not abs(total - 0.5) <= MASS_TOL:
+        raise BadSum(f"weights must sum to 1/2, got {total}")
     n = arr.size
     share = arr[:, None] / (arr[:, None] + arr)   # [i, j]: alpha_i / (alpha_i + alpha_j)
     p = np.zeros((n, n, n))

@@ -8,19 +8,27 @@ quadratic stochastic operator acting on the ordinary simplex via
 ``y_k = 2 * x_k``.
 
 Construction and validation are whole-array operations, bitwise equal to
-per-pair loops.  The Mendelian offspring sets of all parent pairs form one
-boolean mask (an outer product of per-component masks).  A pair's set is
-fixed by the smaller and the larger parental allele at each component, so
-the m^2 pairs share prod L(L+1)/2 sets (2,187 of 16,384 pairs at m = 128).
-Each set's base-measure mass is summed once, over its members gathered into
-one row as the per-pair formula sums them (summing zero-padded rows instead
-would move coefficients by up to 4 ulp); its row of coefficients is filled
-in one masked division ``(2 mu0) / mass``, the formula's own, as doubling
-is exact; and each pair copies its set's row.  The validators walk the
-pairs in blocks: every row sum is taken, and a block that one cheap test
-clears for a check (its minimum, equal female and male halves, no nonzero
-value off the support) skips that check's per-row statistic, which no
-cleared row could trip.
+per-pair loops.  A Mendelian pair's offspring set is fixed by the smaller and
+the larger parental allele at each component, so the m^2 pairs share
+prod L(L+1)/2 sets (2,187 of 16,384 pairs at m = 128), and a pair's
+coefficients depend on it only through its set.  ``mendelian_coefficients``
+keeps the tensor in that set form: one row of coefficients and one row of
+members per set, and the index of each pair's set, three read-only arrays
+(4.9 MiB at m = 128, against 36 MiB for the dense coefficients and support,
+which are built from them on first read, once).  Each set's base-measure mass
+is summed once, over its members gathered into one row as the per-pair
+formula sums them (summing zero-padded rows instead would move coefficients
+by up to 4 ulp), and its row is filled in one masked division
+``(2 mu0) / mass``, the formula's own, as doubling is exact.  The finiteness
+scan, ``validate_pq`` and the female/male gap of ``reduce`` read the set rows;
+every coefficient value is in them, and a violation is reported for each pair
+whose set has it, in pair order.  ``reduce`` gathers each set's
+``0.5 * (fem + fem)``, which is the dense ``0.5 * (fem + fem.T)`` because a
+pair and its mirror share a set.  The validators walk the rows in blocks:
+every row sum is taken, and a block that one cheap test clears for a check
+(its minimum, equal female and male halves, no nonzero value off the
+support) skips that check's per-row statistic, which no cleared row could
+trip.
 
 Every value type stores its arrays through ``_checked``: read-only, of the
 declared shape, and finite, since NaN passes every range check.  Only a
@@ -89,9 +97,10 @@ from the same expressions, one raw step to a tuple, with which the one
 halving loop of the Newton polish in ``dynamics`` images its candidates;
 for an operator without ``raw`` it calls ``reduced_step``.
 
-The constructor builds the kernels once its checks pass: the table (2.2 ms
-at n = 64, 18.7 ms at n = 128) and the block with its raw step (0.15 ms at
-n = 2, 0.53 ms at n = 4), kept as ``_table``, ``_block`` and ``_raw``, each
+The constructor builds the kernels once its checks pass: the table (2.6-2.8
+ms at n = 64, 17.0-17.7 ms at n = 128 for the ``mendelian-wide`` operators,
+best of 9 on one core) and the block with its raw step (0.15 ms at n = 2,
+0.53 ms at n = 4), kept as ``_table``, ``_block`` and ``_raw``, each
 None where its path does not apply.  They are outside the dataclass
 fields, so they take no part in ``==`` or ``repr``, and together they name
 the operator's step path.  Every value type, count tables too, pickles and
@@ -108,7 +117,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -228,7 +237,8 @@ def _check_simplex(vals: np.ndarray, error: type[Exception]) -> None:
     ``-ROUNDING_TOL`` and a total within ``MASS_TOL`` of 1."""
     if vals.min() < -ROUNDING_TOL:
         raise error(f"negative probability {vals.min()} at index {int(vals.argmin())}")
-    total = vals.sum()
+    with np.errstate(over="ignore"):  # a huge finite total is inf, and fails
+        total = np.add.reduce(vals)
     if abs(total - 1.0) > MASS_TOL:
         raise error(f"total mass {total} != 1")
 
@@ -404,12 +414,18 @@ class HeredityTensor:
     ``j``, child genotype index ``s``.  ``support`` (optional boolean
     mask of the same shape) records where coefficients may be nonzero;
     ``None`` excludes no child, as ``nonmendelian_coefficients`` leaves it.
+
+    A tensor from ``mendelian_coefficients`` holds its offspring-set form
+    instead (see the module docstring) and builds ``coefficients`` and
+    ``support`` from it on first read, once; its copy is the dense tensor.
     """
 
     space: GenotypeSpace
     p_ratio: tuple[float, float]
     coefficients: np.ndarray
-    support: np.ndarray | None = None
+    # a factory, unlike a default, leaves no class attribute that would hide
+    # a set-form tensor's unbuilt ``support`` from ``__getattr__``
+    support: np.ndarray | None = field(default_factory=lambda: None)
     __reduce__ = _rebuilt
 
     def __post_init__(self):
@@ -418,6 +434,35 @@ class HeredityTensor:
         if self.support is not None:
             _checked(self, "support", shape, "support", dtype=bool)
         _check_ratio(self.p_ratio, ValueError)
+        object.__setattr__(self, "_sets", None)
+
+    @classmethod
+    def _of_sets(cls, space: GenotypeSpace, rows: np.ndarray, members: np.ndarray,
+                 of_pair: np.ndarray) -> "HeredityTensor":
+        """The 1:1 tensor whose pair (i, j) has the coefficients
+        ``rows[of_pair[i, j]]`` and the support ``members[of_pair[i, j]]``,
+        all three read-only arrays that own their data."""
+        # every coefficient is in some set's row, so this is the dense scan;
+        # on a failure the dense tensor names the first bad entry in pair order
+        if not all(np.isfinite(rows[b]).all() for b in _blocks(rows)):
+            cls(space, (0.5, 0.5), rows[of_pair])  # raises
+        t = object.__new__(cls)
+        for name, value in (("space", space), ("p_ratio", (0.5, 0.5)),
+                            ("_sets", (rows, members, of_pair))):
+            object.__setattr__(t, name, value)
+        return t
+
+    def __getattr__(self, name):
+        # called only for a missing attribute: ``coefficients`` or ``support``
+        # of a set-form tensor that no caller has read yet
+        sets = vars(self).get("_sets")
+        if name not in ("coefficients", "support") or sets is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                                 name=name, obj=self)
+        rows, members, of_pair = sets
+        dense = (rows if name == "coefficients" else members)[of_pair]
+        # setdefault: every caller gets the one array that is kept
+        return vars(self).setdefault(name, _frozen(dense))
 
     @property
     def pair_sum(self) -> float:
@@ -430,7 +475,11 @@ class HeredityTensor:
             raise ValueError("canonical storage indexes (female, male) pairs")
         i = self.space.trait_index(mother.traits)
         j = self.space.trait_index(father.traits)
-        return float(self.coefficients[i, j, self.space.index(child)])
+        s = self.space.index(child)
+        if self._sets is None:
+            return float(self.coefficients[i, j, s])
+        rows, _, of_pair = self._sets
+        return float(rows[of_pair[i, j], s])
 
     def full_coefficient(self, a: Genotype, b: Genotype, child: Genotype) -> float:
         """Coefficient for an arbitrary parent pair: zero for same-gender
@@ -447,23 +496,14 @@ def mendelian_coefficients(space: GenotypeSpace, mu0: Distribution) -> HeredityT
     For a mixed pair the child ``s`` in the offspring set receives
     ``2 * mu0(s) / mu0(offspring set)``; everything else is zero.  Raises
     ``ZeroMassOffspringSet`` when a pair's offspring set carries no
-    base-measure mass (the formula would divide by zero).
+    base-measure mass (the formula would divide by zero).  The tensor is
+    kept in its offspring-set form.
     """
     _check_space(mu0.space, space, "base measure")
     _check_one_to_one(mu0.p_ratio, AsymmetricMeasure,
                       "base measure must live on the 1:1 hyper-simplex, got p:q = {}")
     _check_gender_gap(mu0.values, AsymmetricMeasure, "base measure female/male values differ by {}")
     m = space.m
-    # support[i, j, t]: each allele of child traits t is the mother's or the
-    # father's; an outer product of per-component masks (last one first)
-    support = np.ones((1, 1, 1), dtype=bool)
-    for comp in reversed(space.components):
-        a = np.arange(len(comp))
-        mask = (a == a[:, None, None]) | (a == a[:, None])   # [mother, father, child]
-        n, k = len(comp), support.shape[0]
-        support = (mask[:, None, :, None, :, None]
-                   & support[None, :, None, :, None, :]).reshape(n * k, n * k, n * k)
-    support = np.concatenate([support, support], axis=2)      # both child genders
     # a pair's offspring set, and with it its row of coefficients, is fixed by
     # the componentwise smaller and larger alleles of its parents: pair (i, j)
     # shares it with pair (low, high), one of the prod L(L+1)/2 pairs that are
@@ -477,12 +517,19 @@ def mendelian_coefficients(space: GenotypeSpace, mu0: Distribution) -> HeredityT
     of_pair = np.empty(m * m, dtype=np.intp)
     of_pair[own] = np.arange(len(own))
     of_pair = of_pair[key]
+    # members[s, t]: each allele of child traits t is the mother's or the
+    # father's in set s's own pair, for both child genders
+    low, high = np.divmod(own, m)
+    members = np.ones((len(own), m), dtype=bool)
+    for a, n in zip(alleles, shape):  # a[t]: trait t's allele at one component
+        has = a == np.arange(n)[:, None]  # has[x, t]: trait t has allele x
+        members &= has[a[low]] | has[a[high]]
+    members = np.concatenate([members, members], axis=1)
     # sum each offspring set as one gathered row, as the per-pair formula
     # does: zero-padded rows would regroup NumPy's pairwise sum (by <= 4 ulp)
-    members = support.reshape(m * m, space.total)[own]
     sizes = np.count_nonzero(members, axis=1)
     mass = np.empty(len(own))
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):  # np.unique imports numpy.ma
         sets = sizes == size
         values = np.broadcast_to(mu0.values, (np.count_nonzero(sets), space.total))
         mass[sets] = values[members[sets]].reshape(-1, size).sum(axis=1)
@@ -493,11 +540,10 @@ def mendelian_coefficients(space: GenotypeSpace, mu0: Distribution) -> HeredityT
             f"offspring set of pair ({_pair_label(space, i, j)}) has zero base-measure mass"
         )
     # each set's row is (2 v) / mass on its members, the formula's own division
-    # as doubling is exact, and each pair copies its set's row
+    # as doubling is exact
     rows = np.divide(2.0 * mu0.values, mass[:, None], out=np.zeros(members.shape),
                      where=members)
-    coeffs = rows[of_pair]
-    return HeredityTensor(space, (0.5, 0.5), _frozen(coeffs), _frozen(support))
+    return HeredityTensor._of_sets(space, _frozen(rows), _frozen(members), _frozen(of_pair))
 
 
 def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> HeredityTensor:
@@ -525,62 +571,72 @@ def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> He
 
 def _pair_violations(space: GenotypeSpace, rows: np.ndarray, tol: float,
                      expected: float, weights: tuple[float, float], messages: dict,
-                     support: np.ndarray | None = None) -> list[Violation]:
-    """Check the 2m child values ``rows[i, j]`` of every parent pair with
-    reductions over blocks of pairs; the violations, their order and every
-    value are those a loop over single rows finds, to the bit: ``negative``
-    (smallest value), ``normalization`` (row sum against ``expected``),
-    ``ratio`` (largest ``|wq * female - wp * male|`` for ``(wp, wq) = weights``)
-    and ``support`` (largest ``|value|`` off ``support``).  ``messages[kind]``
-    is formatted with the ``value`` and the ``child``'s label.  Rows holding
-    NaN are never flagged: min, sum and argmax propagate NaN.  A ``tol``
-    that is negative or NaN raises ``ValueError``.
+                     support: np.ndarray | None = None,
+                     of_pair: np.ndarray | None = None) -> list[Violation]:
+    """Check the 2m child values of every parent pair with reductions over
+    blocks of rows; the violations, their order and every value are those a
+    loop over single pairs finds, to the bit: ``negative`` (smallest value),
+    ``normalization`` (row sum against ``expected``), ``ratio`` (largest
+    ``|wq * female - wp * male|`` for ``(wp, wq) = weights``) and ``support``
+    (largest ``|value|`` off ``support``).  ``messages[kind]`` is formatted
+    with the ``value`` and the ``child``'s label.  Pair (i, j) has the values
+    ``rows[of_pair[i, j]]`` and the support ``support[of_pair[i, j]]``, so
+    each statistic is taken once per row, however many pairs share it;
+    without ``of_pair``, ``rows[i, j]`` and ``support[i, j]`` are the pair's.
+    Rows holding NaN are never flagged: min, sum and argmax propagate NaN.  A
+    ``tol`` that is negative or NaN raises ``ValueError``.
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
+    if of_pair is None:  # the identity index
+        of_pair = np.arange(rows.shape[0] * rows.shape[1]).reshape(rows.shape[:2])
+        rows = rows.reshape(-1, rows.shape[2])
+        support = None if support is None else support.reshape(rows.shape)
     wp, wq = weights
-    pairs = rows.shape[:2]
-    total = np.empty(pairs)
+    sets = len(rows)
+    total = np.empty(sets)
     # per-row statistics that stay 0.0, which no check flags, in a block
     # whose one cheap test clears every row; exact wherever a row can be flagged
-    smallest, gap, reach = np.zeros(pairs), np.zeros(pairs), np.zeros(pairs)
-    for b in _blocks(rows):
-        block = rows[b]
-        total[b] = block.sum(axis=2)
-        if not block.min() >= -tol:  # NaN too
-            smallest[b] = block.min(axis=2)
-        # equal halves give equal weights a zero (or NaN) gap
-        half = block.shape[2] // 2
-        if wp != wq or not np.array_equal(block[..., :half], block[..., half:]):
-            gap[b] = _ratio_gaps(block, wp, wq).max(axis=2)
-        # only a nonzero value off the support (or NaN) can be flagged
-        if support is not None and (np.not_equal(block, 0.0) > support[b]).any():
-            reach[b] = _off_support(block, support[b]).max(axis=2)
-    miss = np.abs(total - expected)
-    # the child of flagged rows only: on a read-only array NumPy copies all of it
-    negative, ratio, far_off = smallest < -tol, gap > tol, reach > tol
-    low, worst = np.zeros(pairs, dtype=np.intp), np.zeros(pairs, dtype=np.intp)
-    low[negative] = rows[negative].argmin(axis=1)
-    worst[ratio] = _ratio_gaps(rows[ratio], wp, wq).argmax(axis=1)
+    smallest, gap, reach = np.zeros(sets), np.zeros(sets), np.zeros(sets)
+    with np.errstate(over="ignore"):  # a huge finite row sums to inf, as a loop's does
+        for b in _blocks(rows):
+            block = rows[b]
+            total[b] = block.sum(axis=1)
+            if not block.min() >= -tol:  # NaN too
+                smallest[b] = block.min(axis=1)
+            # equal halves give equal weights a zero (or NaN) gap
+            half = block.shape[1] // 2
+            if wp != wq or not np.array_equal(block[:, :half], block[:, half:]):
+                gap[b] = _ratio_gaps(block, wp, wq).max(axis=1)
+            # only a nonzero value off the support (or NaN) can be flagged
+            if support is not None and (np.not_equal(block, 0.0) > support[b]).any():
+                reach[b] = _off_support(block, support[b]).max(axis=1)
+        miss = np.abs(total - expected)
+        # the child of flagged rows only: on a read-only array NumPy copies all of it
+        negative, ratio, far_off = smallest < -tol, gap > tol, reach > tol
+        low, worst = np.zeros(sets, dtype=np.intp), np.zeros(sets, dtype=np.intp)
+        low[negative] = rows[negative].argmin(axis=1)
+        worst[ratio] = _ratio_gaps(rows[ratio], wp, wq).argmax(axis=1)
     checks = [("negative", negative, low, smallest, smallest, None),
               ("normalization", miss > tol, None, miss, total, None),
               ("ratio", ratio, worst, gap, gap, space.trait_label)]
     if support is not None:
         off_rows = rows[far_off]
-        far = np.zeros(pairs, dtype=np.intp)
+        far = np.zeros(sets, dtype=np.intp)
         far[far_off] = _off_support(off_rows, support[far_off]).argmax(axis=1)
-        signed = np.zeros(pairs)
+        signed = np.zeros(sets)
         signed[far_off] = np.take_along_axis(off_rows, far[far_off][:, None], axis=1)[:, 0]
         checks.append(("support", far_off, far, reach, signed, space.label))
     flagged = np.logical_or.reduce([bad for _, bad, *_ in checks])
     out = []
-    for i, j in np.argwhere(flagged):
+    for i, j in np.argwhere(flagged[of_pair]):
+        s = of_pair[i, j]
         for kind, bad, child, magnitude, value, label in checks:
-            if bad[i, j]:
-                k = None if child is None else int(child[i, j])
-                message = messages[kind].format(value=value[i, j],
+            if bad[s]:
+                k = None if child is None else int(child[s])
+                message = messages[kind].format(value=value[s],
                                                 child=label(k) if label else None)
-                out.append(Violation(kind, (int(i), int(j)), k, float(magnitude[i, j]),
+                out.append(Violation(kind, (int(i), int(j)), k, float(magnitude[s]),
                                      f"pair ({_pair_label(space, i, j)}) {message}"))
     return out
 
@@ -610,8 +666,10 @@ def validate_pq(t: HeredityTensor, tol: float = VALIDATE_TOL) -> ValidationRepor
                 "normalization": f"sums to {{value}}, expected {t.pair_sum}",
                 "ratio": f"child {{child}} breaks the {p:g}:{q:g} ratio by {{value}}",
                 "support": "has mass {value} on excluded child {child}"}
+    sets = t._sets
+    rows, support, of_pair = (t.coefficients, t.support, None) if sets is None else sets
     return ValidationReport(tuple(_pair_violations(
-        t.space, t.coefficients, tol, t.pair_sum, (p, q), messages, t.support)), tol)
+        t.space, rows, tol, t.pair_sum, (p, q), messages, support, of_pair)), tol)
 
 
 def apply_canonical(t: HeredityTensor, lam: Distribution) -> Distribution:
@@ -688,11 +746,22 @@ def reduce(t: HeredityTensor) -> ReducedQso:
     symmetric part of its coefficient matrix.
     """
     _check_one_to_one(t.p_ratio, NotOneToOne, "reduction is defined for p = q = 1/2, got p:q = {}")
-    _check_gender_gap(t.coefficients, ChildAsymmetry, "female/male child coefficients differ by {}")
-    fem = t.coefficients[:, :, :t.space.m]
-    p = fem + fem.transpose(1, 0, 2)
-    p *= 0.5  # one temporary; bitwise equal to 0.5 * (fem + fem.T)
-    return ReducedQso(t.space.m, _frozen(p))
+    sets, m = t._sets, t.space.m
+    # a set form holds every coefficient value in its rows
+    _check_gender_gap(t.coefficients if sets is None else sets[0], ChildAsymmetry,
+                      "female/male child coefficients differ by {}")
+    if sets is None:
+        fem = t.coefficients[:, :, :m]
+        p = fem + fem.transpose(1, 0, 2)
+        p *= 0.5  # one temporary; bitwise equal to 0.5 * (fem + fem.T)
+    else:
+        # of_pair is symmetric, so pair (j, i) has pair (i, j)'s row: gather
+        # each set's 0.5 * (fem + fem), which owns its data like the dense sum
+        rows, _, of_pair = sets
+        half = rows[:, :m] + rows[:, :m]
+        half *= 0.5
+        p = half[of_pair]
+    return ReducedQso(m, _frozen(p))
 
 
 def apply_reduced(q: ReducedQso, y: ReducedDistribution) -> ReducedDistribution:

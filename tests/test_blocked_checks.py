@@ -250,17 +250,19 @@ def test_reduced_qso_checks_match_the_whole_array_formula(block_bytes, n):
 
 
 def test_blocked_checks_hold_few_blocks_at_m_64():
-    # the tensor, its support and the reduced operator stay alive; each phase
-    # adds at most a few blocks on top.  Copying the tensor on construction
-    # and building full-size temporaries in the checks took over 5 MiB here
+    # the tensor's offspring-set arrays and the reduced operator stay alive;
+    # each phase adds at most a few blocks on top.  Copying the tensor on
+    # construction and building full-size temporaries in the checks took over
+    # 5 MiB here, and no phase may build the 4 MiB dense tensor
     space = build_space([("A", "a")] * 6)
     half = random_simplex(rng(64), space.m) / 2.0
     mu0 = Distribution(space, np.concatenate([half, half]))
     slack = 4 * operators._BLOCK_BYTES
+    dense = space.m * space.m * space.total * 8
     tracemalloc.start()
     try:
         t = mendelian_coefficients(space, mu0)
-        held = t.coefficients.nbytes + t.support.nbytes
+        held = sum(arr.nbytes for arr in t._sets)
         construct = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         assert validate_pq(t).ok
@@ -273,7 +275,7 @@ def test_blocked_checks_hold_few_blocks_at_m_64():
     assert construct <= held + slack
     assert validate <= held + slack
     assert reduce <= held + q.p.nbytes + slack
-
+    assert max(construct, validate) < dense / 2
 
 
 def blocked_finite_scan(arr, what, error, nan_ok):

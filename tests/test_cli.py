@@ -373,6 +373,27 @@ def test_errors_exit_one(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: line 3, column 9: invalid UTF-8 byte 0xff\n")
 
 
+# a total of huge finite values overflows to inf; NumPy's overflow warning,
+# an error under pytest's warnings-as-errors, must not reach the user
+@pytest.mark.parametrize("argv,message", [
+    (["fixpoint", "--model", "multi", "--alphas", "1e308,1e308"],
+     "error: weights must sum to 1/2, got inf"),
+    (["fixpoint", "--model", "rh", "--start", "1e308,1e308"], "error: total mass inf != 1"),
+])
+def test_a_total_that_overflows_is_one_error_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", message + "\n")
+
+
+def test_validate_reports_a_row_sum_that_overflows(capsys, tmp_path):
+    text = _table_path("rh.csv").read_text()
+    huge = tmp_path / "rh_huge.csv"
+    huge.write_text(text.replace("+,+,f,+,0.4925", "+,+,f,+,1e308")
+                    .replace("+,+,m,+,0.4925", "+,+,m,+,1e308"))
+    assert run_cli(capsys, "validate", str(huge)) == (
+        2, "1 violation(s) at tolerance 0.001:\n"
+           "  [normalization] pair (+ x +) sums to inf, expected 1\n", "")
+
+
 def test_bad_random_seed_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "run", "--model", "rh", "--start", "random:x")
     assert (code, out, err) == (1, "", "error: bad seed in start spec 'random:x'\n")

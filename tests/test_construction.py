@@ -8,6 +8,9 @@ coefficients, support masks and violation reports must equal these oracles
 exactly (0 ulp), not merely closely.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,9 @@ from qso import (
     nonmendelian_coefficients,
     validate_pq,
 )
-from qso.errors import ZeroMassOffspringSet
+from qso.errors import ChildAsymmetry, ZeroMassOffspringSet
+from qso.operators import VALIDATE_TOL
+from qso.operators import reduce as reduce_tensor
 
 from helpers import random_pq_tensor, random_simplex, random_symmetric_family, rng
 
@@ -184,6 +189,68 @@ def test_mendelian_matches_per_pair_construction(name):
         # each offspring set's mass is summed once, over the same gathered
         # members as the per-pair loop, so the coefficients agree to 0 ulp
         assert np.array_equal(t.coefficients, coeffs)
+
+
+def reduced_bytes(t):
+    """The bytes of ``reduce(t).p``, or the message of its gap check."""
+    try:
+        return reduce_tensor(t).p.tobytes()
+    except ChildAsymmetry as e:  # a zero female entry beside a male 1e-12
+        return str(e)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_set_form_reads_as_its_dense_copy(name):
+    # a Mendelian tensor holds one row per offspring set and the set of each
+    # pair; every reader must see what the tensor of its dense arrays holds
+    space = build_space(SPACES[name])
+    gen = rng(len(name) + 2000 * space.m)
+    bases = [random_base(gen, space)]
+    if name in EDGE_SPACES:
+        bases.append(base_with_zeros_and_subnormals(gen, space))
+    cells = [(0, 0, 0), (space.m - 1, space.m - 1, space.total - 1)]
+    cells += [tuple(map(int, c)) for c in zip(*gen.integers(space.m, size=(2, 200)),
+                                              gen.integers(space.total, size=200))]
+    for base in bases:
+        t = mendelian_coefficients(space, base)
+        # tol 0 flags rounding-level misses of the pair sums, so the reports
+        # also pin the order in which set statistics reach the pairs
+        reports = [validate_pq(t, tol) for tol in (0.0, VALIDATE_TOL)]
+        p = reduced_bytes(t)
+        values = []
+        for i, j, s in cells:
+            mother = Genotype("f", space.traits_of(i))
+            father = Genotype("m", space.traits_of(j))
+            child = space.genotype(s)
+            values.append((t.coefficient(mother, father, child),
+                           t.full_coefficient(father, mother, child)))
+        assert "coefficients" not in vars(t) and "support" not in vars(t)
+        dense = HeredityTensor(t.space, t.p_ratio, t.coefficients.copy(), t.support.copy())
+        for tol, report in zip((0.0, VALIDATE_TOL), reports):
+            expected = validate_pq(dense, tol)
+            assert report == expected
+            assert_same_violations(report.violations, expected.violations)
+        assert p == reduced_bytes(dense)
+        for (i, j, s), (value, full) in zip(cells, values):
+            assert value == full == dense.coefficients[i, j, s]
+        for twin in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert twin.coefficients.tobytes() == dense.coefficients.tobytes()
+            assert twin.support.tobytes() == dense.support.tobytes()
+            assert (twin.space, twin.p_ratio) == (space, (0.5, 0.5))
+
+
+def test_set_form_names_a_non_finite_coefficient_as_the_dense_tensor_does():
+    space = build_space([("x", "y", "z"), ("B", "b")])
+    rows, members, of_pair = mendelian_coefficients(space, random_base(rng(50), space))._sets
+    bad = rows.copy()
+    bad[of_pair[4, 1], 7] = np.nan
+    bad[of_pair[2, 5], 3] = np.inf
+    with pytest.raises(ValueError) as expected:
+        HeredityTensor(space, (0.5, 0.5), bad[of_pair])
+    with pytest.raises(ValueError) as got:
+        HeredityTensor._of_sets(space, bad, members, of_pair)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("non-finite coefficient ")
 
 
 @pytest.mark.parametrize("zeros", [
