@@ -246,8 +246,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, sys.stdout)
-    except (QsoError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (QsoError, ValueError, OSError, MemoryError) as exc:
+        # a space too large to hold ends in NumPy's MemoryError; a bare one has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

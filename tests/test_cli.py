@@ -394,6 +394,25 @@ def test_validate_reports_a_row_sum_that_overflows(capsys, tmp_path):
            "  [normalization] pair (+ x +) sums to inf, expected 1\n", "")
 
 
+# a space of 16 biallelic components needs a 4 PiB family array (NumPy's
+# MemoryError) and one of 20 more bytes than an array can hold (its
+# "array is too big" ValueError); no smaller size may be used, since 9
+# components already fill gigabytes
+@pytest.mark.parametrize("components", [16, 20])
+@pytest.mark.parametrize("command", ["validate", "ingest", "fixpoint"])
+def test_a_space_too_large_to_hold_is_one_error_line(tmp_path, components, command):
+    head = f"# space: {';'.join(['a,b'] * components)}\nmother,father,child_gender,child_type,"
+    path = tmp_path / "table.csv"
+    path.write_text(head + ("count" if command == "ingest" else "value") + "\n")
+    argv = {"validate": ["validate", str(path)],
+            "ingest": ["ingest", str(path), str(tmp_path / "family.csv")],
+            "fixpoint": ["fixpoint", "--coeff-file", str(path)]}[command]
+    proc = subprocess.run([sys.executable, "-m", "qso", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_random_seed_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "run", "--model", "rh", "--start", "random:x")
     assert (code, out, err) == (1, "", "error: bad seed in start spec 'random:x'\n")

@@ -33,6 +33,11 @@ _odd[4] = " " + _odd[4].replace(",", " , ")
 _odd[8:8] = ["# a comment between rows", ""]
 ODD_RH_COUNTS = "\r\n".join(_odd) + "\r\n"
 
+# one male count off by 1e-6: the (+, +) pair's halves differ by 5e-10, under
+# the 1e-9 asymmetry bound, so it ingests without --symmetrize and that pair's
+# halves are written from their own values while the other pairs share theirs
+NEAR_RH_COUNTS = RH_COUNTS.replace("+,+,m,+,985", "+,+,m,+,985.000001")
+
 INVOCATIONS = {
     "run-trait-0.2499-csv": ["run", "--model", "trait", "--alpha", "0.2499"],
     "run-rh-random42-json": ["run", "--model", "rh", "--start", "random:42",
@@ -79,7 +84,8 @@ def golden_outputs(workdir: Path) -> dict:
     """Exit code and digest of every pinned invocation; the ingest entries
     digest the written family file, whose path stdout would print."""
     results = {}
-    for name, text in (("ingest-rh-counts", RH_COUNTS), ("ingest-rh-counts-odd", ODD_RH_COUNTS)):
+    for name, text in (("ingest-rh-counts", RH_COUNTS), ("ingest-rh-counts-odd", ODD_RH_COUNTS),
+                       ("ingest-rh-counts-near-symmetric", NEAR_RH_COUNTS)):
         counts, family = workdir / f"{name}.csv", workdir / f"{name}-family.csv"
         counts.write_bytes(text.encode())
         code, _ = _run(["ingest", str(counts), str(family)])

@@ -37,6 +37,12 @@ fields padded with the characters ``str.splitlines`` splits on but this
 format does not.  ``joined_save_measure_family`` is the writer as it was
 before it streamed: it joined every line and wrote the text once, and the
 streamed writer must write its bytes.
+
+The writer now formats a parent pair's ``label,value`` texts once when its
+female and male halves are equal byte for byte.  ``WRITTEN`` holds families
+that take each branch (symmetric halves, halves 1e-12 apart, halves that
+differ only in a zero's sign, extreme values, a NaN pair), and the written
+bytes must be both the joined writer's and the oracle's.
 """
 
 import itertools
@@ -457,12 +463,51 @@ def odd_values_family():
     return MeasureFamily(build_space(SPACES["rh"]), mu)
 
 
+def signed_zero_family():
+    """Rh whose (+, -) and (-, +) halves hold equal values but unequal bytes:
+    a -0.0 in one half where the other holds 0.0."""
+    mu = read_measure_family(DATA / "rh.csv").mu.copy()
+    mu[0, 1] = [-0.0, 0.5, 0.0, 0.5]
+    mu[1, 0] = [0.0, 0.5, -0.0, 0.5]
+    return MeasureFamily(build_space(SPACES["rh"]), mu)
+
+
+def near_symmetric_family():
+    """A 3-2-2 family whose every other pair has a male value 1e-12 off its
+    female one; the rest are gender-symmetric."""
+    family = random_symmetric_family(rng(31), build_space(SPACES["mixed-3-2-2"]))
+    m = family.space.m
+    mu = family.mu.copy()
+    mu.reshape(m * m, -1)[::2, m + 1] += 1e-12
+    return MeasureFamily(family.space, mu)
+
+
+def extreme_values_family():
+    """A gender-symmetric Rh holding the smallest subnormal and 1.7e308."""
+    mu = read_measure_family(DATA / "rh.csv").mu.copy()
+    mu[0, 0] = [5e-324, 1.7e308, 5e-324, 1.7e308]
+    mu[1, 1] = [1.7e308, 0.0, 1.7e308, 0.0]
+    return MeasureFamily(build_space(SPACES["rh"]), mu)
+
+
+def nan_pair_family():
+    """A gender-symmetric two-biallelic family with one pair all NaN."""
+    family = random_symmetric_family(rng(37), build_space(SPACES["two-biallelic"]))
+    mu = family.mu.copy()
+    mu[2, 3] = np.nan
+    return MeasureFamily(family.space, mu)
+
+
 WRITTEN = {
     "rh": lambda: read_measure_family(DATA / "rh.csv"),
     "abo": lambda: read_measure_family(DATA / "abo.csv"),
     "two-biallelic": lambda: random_symmetric_family(rng(29),
                                                      build_space(SPACES["two-biallelic"])),
     "odd-values": odd_values_family,
+    "signed-zero": signed_zero_family,
+    "near-symmetric": near_symmetric_family,
+    "extreme-values": extreme_values_family,
+    "nan-pair": nan_pair_family,
 }
 
 
@@ -480,6 +525,14 @@ def test_streamed_writer_writes_the_joined_writers_bytes(tmp_path, name):
     assert np.array_equal(reread, family.mu, equal_nan=True)
     assert [math.copysign(1, v) for v in reread.ravel()] == [
         math.copysign(1, v) for v in family.mu.ravel()]
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_writer_writes_the_oracles_bytes(tmp_path, name):
+    family = WRITTEN[name]()
+    save_measure_family(family, tmp_path / "new.csv")
+    oracle_save_measure_family(family, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_estimate_sums_repeated_fractional_cells_in_row_order():
