@@ -33,7 +33,9 @@ result and the first faulty line reported are those of the per-line loop
 alone.  Malformed files raise a
 ``QsoError``: ``ParseError`` with the line and column of a byte that is
 not UTF-8 or of a value that is not a finite number, ``SchemaError`` for
-a structural fault (header, field count, label, repeated or split rows).
+a structural fault (header, field count, label, repeated or split rows) or
+for a declared space whose (m, m, 2m) family of doubles is more bytes than
+an array can hold.
 
 Either loop returns two read-only columns in file order: each row's flat
 cell index ``(i * m + j) * total + s`` and its value.  A ``CountsTable``
@@ -223,9 +225,16 @@ def _parse_space(spec: str, line_no: int) -> GenotypeSpace:
             raise SchemaError(f"line {line_no}: empty allele label in space spec {spec!r}")
         components.append(labels)
     try:
-        return build_space(components)
+        space = build_space(components)
     except QsoError as exc:
         raise SchemaError(f"line {line_no}: {exc}") from exc
+    # NumPy refuses an array of more bytes than an intp holds; refusing the
+    # space here spares building label maps for it first
+    cells = space.m * space.m * space.total
+    if cells * 8 > np.iinfo(np.intp).max:
+        raise SchemaError(f"line {line_no}: space of {space.m} trait combinations needs "
+                          f"{cells} values per family, more than an array can hold")
+    return space
 
 
 class _Lines:

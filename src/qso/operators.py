@@ -8,23 +8,24 @@ quadratic stochastic operator acting on the ordinary simplex via
 ``y_k = 2 * x_k``.
 
 Construction and validation are whole-array operations, bitwise equal to
-per-pair loops.  A Mendelian pair's offspring set is fixed by the smaller and
-the larger parental allele at each component, so the m^2 pairs share
-prod L(L+1)/2 sets (2,187 of 16,384 pairs at m = 128), and a pair's
-coefficients depend on it only through its set.  ``mendelian_coefficients``
-keeps the tensor in that set form: one row of coefficients and one row of
-members per set, and the index of each pair's set, three read-only arrays
+per-pair loops.  Every tensor is read in one offspring-set form: a row of
+coefficients and one of members (the support) per set, and ``of_pair``, the
+set of each pair.  Under non-Mendelian inheritance, as in Rh and ABO, any
+child can occur and each pair is its own set: the rows are views of the
+dense arrays and ``of_pair`` is the identity.  A Mendelian pair's set is
+fixed by the smaller and the larger parental allele at each component, so
+the m^2 pairs share prod L(L+1)/2 sets (2,187 of 16,384 pairs at m = 128);
+``mendelian_coefficients`` keeps only the set form, three read-only arrays
 (4.9 MiB at m = 128, against 36 MiB for the dense coefficients and support,
-which are built from them on first read, once).  Each set's base-measure mass
-is summed once, over its members gathered into one row as the per-pair
-formula sums them (summing zero-padded rows instead would move coefficients
-by up to 4 ulp), and its row is filled in one masked division
-``(2 mu0) / mass``, the formula's own, as doubling is exact.  The finiteness
-scan, ``validate_pq`` and the female/male gap of ``reduce`` read the set rows;
-every coefficient value is in them, and a violation is reported for each pair
-whose set has it, in pair order.  ``reduce`` gathers each set's
-``0.5 * (fem + fem)``, which is the dense ``0.5 * (fem + fem.T)`` because a
-pair and its mirror share a set.  The validators walk the rows in blocks:
+built from them on first read, once).  Each set's base-measure mass is summed
+once, over its members gathered into one row as the per-pair formula sums
+them (zero-padded rows would move coefficients by up to 4 ulp), and its row
+is one masked division ``(2 mu0) / mass``, exact as doubling is.
+``validate_pq`` and ``reduce`` read the rows, which hold every value: a
+violation is reported for each pair whose set has it, in pair order, and
+``reduce`` halves each set's female block plus its mirror's (the set of the
+transposed pairs), which is ``0.5 * (fem + fem.T)`` to the bit.  The
+validators walk the rows in blocks:
 every row sum is taken, and a block that one cheap test clears for a check
 (its minimum, equal female and male halves, no nonzero value off the
 support) skips that check's per-row statistic, which no cleared row could
@@ -367,7 +368,8 @@ class MeasureFamily:
                     "normalization": "sums to {value}, expected 1",
                     "ratio": "female/male children differ by {value}"}
         with np.errstate(invalid="ignore"):
-            found = _pair_violations(space, self.mu, tol, 1.0, (1.0, 1.0), messages)
+            found = _pair_violations(space, self.mu.reshape(space.m ** 2, -1), None,
+                                     _own_sets(space.m), tol, 1.0, (1.0, 1.0), messages)
         # with unit weights the ratio check is the gender-symmetry check
         return out + [replace(v, kind="gender-symmetry", child=None)
                       if v.kind == "ratio" else v for v in found]
@@ -415,26 +417,30 @@ class HeredityTensor:
     mask of the same shape) records where coefficients may be nonzero;
     ``None`` excludes no child, as ``nonmendelian_coefficients`` leaves it.
 
-    A tensor from ``mendelian_coefficients`` holds its offspring-set form
-    instead (see the module docstring) and builds ``coefficients`` and
-    ``support`` from it on first read, once; its copy is the dense tensor.
+    Every reader reads its offspring-set form ``_sets``, ``(rows, members,
+    of_pair)`` (see the module docstring).  A tensor from
+    ``mendelian_coefficients`` holds only that form and builds
+    ``coefficients`` and ``support`` from it on first read, once; its copy
+    is the dense tensor.
     """
 
     space: GenotypeSpace
     p_ratio: tuple[float, float]
     coefficients: np.ndarray
     # a factory, unlike a default, leaves no class attribute that would hide
-    # a set-form tensor's unbuilt ``support`` from ``__getattr__``
+    # a Mendelian tensor's unbuilt ``support`` from ``__getattr__``
     support: np.ndarray | None = field(default_factory=lambda: None)
     __reduce__ = _rebuilt
 
     def __post_init__(self):
-        shape = (self.space.m, self.space.m, self.space.total)
-        _checked(self, "coefficients", shape, "coefficient")
+        m, total = self.space.m, self.space.total
+        rows = _checked(self, "coefficients", (m, m, total), "coefficient")
         if self.support is not None:
-            _checked(self, "support", shape, "support", dtype=bool)
+            _checked(self, "support", (m, m, total), "support", dtype=bool)
         _check_ratio(self.p_ratio, ValueError)
-        object.__setattr__(self, "_sets", None)
+        # one row per pair: views, not copies, of C-ordered arrays
+        members = None if self.support is None else self.support.reshape(m * m, total)
+        object.__setattr__(self, "_sets", (rows.reshape(m * m, total), members, _own_sets(m)))
 
     @classmethod
     def _of_sets(cls, space: GenotypeSpace, rows: np.ndarray, members: np.ndarray,
@@ -454,12 +460,11 @@ class HeredityTensor:
 
     def __getattr__(self, name):
         # called only for a missing attribute: ``coefficients`` or ``support``
-        # of a set-form tensor that no caller has read yet
-        sets = vars(self).get("_sets")
-        if name not in ("coefficients", "support") or sets is None:
+        # of a Mendelian tensor that no caller has read yet
+        if name not in ("coefficients", "support"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
                                  name=name, obj=self)
-        rows, members, of_pair = sets
+        rows, members, of_pair = self._sets
         dense = (rows if name == "coefficients" else members)[of_pair]
         # setdefault: every caller gets the one array that is kept
         return vars(self).setdefault(name, _frozen(dense))
@@ -476,8 +481,6 @@ class HeredityTensor:
         i = self.space.trait_index(mother.traits)
         j = self.space.trait_index(father.traits)
         s = self.space.index(child)
-        if self._sets is None:
-            return float(self.coefficients[i, j, s])
         rows, _, of_pair = self._sets
         return float(rows[of_pair[i, j], s])
 
@@ -569,29 +572,29 @@ def nonmendelian_coefficients(space: GenotypeSpace, family: MeasureFamily) -> He
     return HeredityTensor(space, (0.5, 0.5), _frozen(2.0 * family.mu))
 
 
-def _pair_violations(space: GenotypeSpace, rows: np.ndarray, tol: float,
-                     expected: float, weights: tuple[float, float], messages: dict,
-                     support: np.ndarray | None = None,
-                     of_pair: np.ndarray | None = None) -> list[Violation]:
+def _own_sets(m: int) -> np.ndarray:
+    """The read-only ``of_pair`` of m^2 pairs that are each their own set."""
+    return _frozen(np.arange(m * m).reshape(m, m))
+
+
+def _pair_violations(space: GenotypeSpace, rows: np.ndarray, support: np.ndarray | None,
+                     of_pair: np.ndarray, tol: float, expected: float,
+                     weights: tuple[float, float], messages: dict) -> list[Violation]:
     """Check the 2m child values of every parent pair with reductions over
     blocks of rows; the violations, their order and every value are those a
     loop over single pairs finds, to the bit: ``negative`` (smallest value),
     ``normalization`` (row sum against ``expected``), ``ratio`` (largest
     ``|wq * female - wp * male|`` for ``(wp, wq) = weights``) and ``support``
-    (largest ``|value|`` off ``support``).  ``messages[kind]`` is formatted
-    with the ``value`` and the ``child``'s label.  Pair (i, j) has the values
-    ``rows[of_pair[i, j]]`` and the support ``support[of_pair[i, j]]``, so
-    each statistic is taken once per row, however many pairs share it;
-    without ``of_pair``, ``rows[i, j]`` and ``support[i, j]`` are the pair's.
-    Rows holding NaN are never flagged: min, sum and argmax propagate NaN.  A
-    ``tol`` that is negative or NaN raises ``ValueError``.
+    (largest ``|value|`` off ``support``, unless it is None).
+    ``messages[kind]`` is formatted with the ``value`` and the ``child``'s
+    label.  Pair (i, j) has the values ``rows[of_pair[i, j]]`` and the
+    support ``support[of_pair[i, j]]``, so each statistic is taken once per
+    row, however many pairs share it.  Rows holding NaN are never flagged:
+    min, sum and argmax propagate NaN.  A ``tol`` that is negative or NaN
+    raises ``ValueError``.
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
-    if of_pair is None:  # the identity index
-        of_pair = np.arange(rows.shape[0] * rows.shape[1]).reshape(rows.shape[:2])
-        rows = rows.reshape(-1, rows.shape[2])
-        support = None if support is None else support.reshape(rows.shape)
     wp, wq = weights
     sets = len(rows)
     total = np.empty(sets)
@@ -666,10 +669,8 @@ def validate_pq(t: HeredityTensor, tol: float = VALIDATE_TOL) -> ValidationRepor
                 "normalization": f"sums to {{value}}, expected {t.pair_sum}",
                 "ratio": f"child {{child}} breaks the {p:g}:{q:g} ratio by {{value}}",
                 "support": "has mass {value} on excluded child {child}"}
-    sets = t._sets
-    rows, support, of_pair = (t.coefficients, t.support, None) if sets is None else sets
     return ValidationReport(tuple(_pair_violations(
-        t.space, rows, tol, t.pair_sum, (p, q), messages, support, of_pair)), tol)
+        t.space, *t._sets, tol, t.pair_sum, (p, q), messages)), tol)
 
 
 def apply_canonical(t: HeredityTensor, lam: Distribution) -> Distribution:
@@ -746,21 +747,19 @@ def reduce(t: HeredityTensor) -> ReducedQso:
     symmetric part of its coefficient matrix.
     """
     _check_one_to_one(t.p_ratio, NotOneToOne, "reduction is defined for p = q = 1/2, got p:q = {}")
-    sets, m = t._sets, t.space.m
-    # a set form holds every coefficient value in its rows
-    _check_gender_gap(t.coefficients if sets is None else sets[0], ChildAsymmetry,
-                      "female/male child coefficients differ by {}")
-    if sets is None:
-        fem = t.coefficients[:, :, :m]
-        p = fem + fem.transpose(1, 0, 2)
-        p *= 0.5  # one temporary; bitwise equal to 0.5 * (fem + fem.T)
-    else:
-        # of_pair is symmetric, so pair (j, i) has pair (i, j)'s row: gather
-        # each set's 0.5 * (fem + fem), which owns its data like the dense sum
-        rows, _, of_pair = sets
-        half = rows[:, :m] + rows[:, :m]
-        half *= 0.5
-        p = half[of_pair]
+    rows, _, of_pair = t._sets
+    m = t.space.m
+    # the rows hold every coefficient value
+    _check_gender_gap(rows, ChildAsymmetry, "female/male child coefficients differ by {}")
+    # mirror[s] is the set of pair (j, i) for each pair (i, j) in set s: exact only
+    # if of_pair commutes with transposition (of_pair.T = mirror[of_pair]), as the
+    # identity and a Mendelian (symmetric) of_pair do; p owns its data
+    mirror = np.empty(len(rows), dtype=np.intp)
+    mirror[of_pair] = of_pair.T
+    half = rows[mirror, :m]  # a gathered copy, so the sum needs no other temporary
+    half += rows[:, :m]
+    half *= 0.5
+    p = half[of_pair]
     return ReducedQso(m, _frozen(p))
 
 

@@ -1,4 +1,5 @@
-"""Seeded random generators and fixed inputs shared by the test modules."""
+"""Seeded random generators, fixed inputs and one check oracle shared by the
+test modules."""
 
 from __future__ import annotations
 
@@ -10,8 +11,10 @@ from qso import (
     HeredityTensor,
     MeasureFamily,
     ReducedQso,
+    Violation,
     build_space,
 )
+from qso.operators import _pair_label
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -53,6 +56,45 @@ def random_pq_tensor(gen: np.random.Generator, space: GenotypeSpace,
             coeffs[i, j, :m] = nu / (2.0 * q)
             coeffs[i, j, m:] = nu / (2.0 * p)
     return HeredityTensor(space, (p, q), coeffs)
+
+
+def whole_array_pair_violations(space, rows, tol, expected, weights, messages, support=None):
+    """``_pair_violations`` on a dense (m, m, 2m) ``rows`` as it was before it
+    walked blocks of rows or read offspring sets: one whole-array statistic
+    per pair, taken per pair."""
+    m = rows.shape[2] // 2
+    wp, wq = weights
+    smallest = rows.min(axis=2)
+    negative = smallest < -tol
+    low = np.zeros(smallest.shape, dtype=np.intp)
+    low[negative] = rows[negative].argmin(axis=1)
+    total = rows.sum(axis=2)
+    miss = np.abs(total - expected)
+    cross = np.multiply(rows[:, :, :m], wq)
+    cross -= np.multiply(rows[:, :, m:], wp)
+    np.abs(cross, out=cross)
+    worst, gap = cross.argmax(axis=2), cross.max(axis=2)
+    del cross
+    checks = [("negative", negative, low, smallest, smallest, None),
+              ("normalization", miss > tol, None, miss, total, None),
+              ("ratio", gap > tol, worst, gap, gap, space.trait_label)]
+    if support is not None:
+        off = np.abs(rows)
+        np.copyto(off, 0.0, where=support)
+        far, reach = off.argmax(axis=2), off.max(axis=2)
+        signed = np.take_along_axis(rows, far[..., None], axis=2)[..., 0]
+        checks.append(("support", reach > tol, far, reach, signed, space.label))
+    flagged = np.logical_or.reduce([bad for _, bad, *_ in checks])
+    out = []
+    for i, j in np.argwhere(flagged):
+        for kind, bad, child, magnitude, value, label in checks:
+            if bad[i, j]:
+                k = None if child is None else int(child[i, j])
+                message = messages[kind].format(value=value[i, j],
+                                                child=label(k) if label else None)
+                out.append(Violation(kind, (int(i), int(j)), k, float(magnitude[i, j]),
+                                     f"pair ({_pair_label(space, i, j)}) {message}"))
+    return out
 
 
 def random_hyper_point(gen: np.random.Generator, space: GenotypeSpace,

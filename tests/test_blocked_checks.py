@@ -2,12 +2,12 @@
 memory bound that blocking and array adoption keep.
 
 ``whole_array_finite_scan``, ``whole_array_gender_gap``,
-``whole_array_reduced_checks`` and ``whole_array_pair_violations`` are the
-checks as they were before they walked the first axis in blocks.  Blocking
-only regroups which rows are reduced together; each value, maximum and
-argmax is the same, so reports, values and exception messages must be
-equal, not merely close.  Most cases also run with the block size shrunk,
-so that every array spans several blocks and the last one is partial.
+``whole_array_reduced_checks`` and ``whole_array_pair_violations`` (in
+``helpers``) are the checks as they were before they walked the first axis in
+blocks.  Blocking only regroups which rows are reduced together; each value,
+maximum and argmax is the same, so reports, values and exception messages
+must be equal, not merely close.  Most cases also run with the block size
+shrunk, so that every array spans several blocks and the last one is partial.
 """
 
 import tracemalloc
@@ -20,17 +20,21 @@ import qso
 from qso import (
     Distribution,
     MeasureFamily,
-    Violation,
     build_space,
     mendelian_coefficients,
     validate_pq,
 )
 from qso import operators
 from qso.errors import AsymmetricMeasure
-from qso.operators import MASS_TOL, ROUNDING_TOL, SYMMETRY_TOL, _pair_label
+from qso.operators import MASS_TOL, ROUNDING_TOL, SYMMETRY_TOL
 from qso.operators import reduce as reduce_tensor
 
-from helpers import random_simplex, random_symmetric_family, rng
+from helpers import (
+    random_simplex,
+    random_symmetric_family,
+    rng,
+    whole_array_pair_violations,
+)
 
 
 def whole_array_finite_scan(arr, what, error, nan_ok):
@@ -62,42 +66,6 @@ def whole_array_reduced_checks(p):
             f"reduced tensor rows deviate from unit sum by {stoch}; "
             "renormalize the source measures"
         )
-
-
-def whole_array_pair_violations(space, rows, tol, expected, weights, messages, support=None):
-    m = rows.shape[2] // 2
-    wp, wq = weights
-    smallest = rows.min(axis=2)
-    negative = smallest < -tol
-    low = np.zeros(smallest.shape, dtype=np.intp)
-    low[negative] = rows[negative].argmin(axis=1)
-    total = rows.sum(axis=2)
-    miss = np.abs(total - expected)
-    cross = np.multiply(rows[:, :, :m], wq)
-    cross -= np.multiply(rows[:, :, m:], wp)
-    np.abs(cross, out=cross)
-    worst, gap = cross.argmax(axis=2), cross.max(axis=2)
-    del cross
-    checks = [("negative", negative, low, smallest, smallest, None),
-              ("normalization", miss > tol, None, miss, total, None),
-              ("ratio", gap > tol, worst, gap, gap, space.trait_label)]
-    if support is not None:
-        off = np.abs(rows)
-        np.copyto(off, 0.0, where=support)
-        far, reach = off.argmax(axis=2), off.max(axis=2)
-        signed = np.take_along_axis(rows, far[..., None], axis=2)[..., 0]
-        checks.append(("support", reach > tol, far, reach, signed, space.label))
-    flagged = np.logical_or.reduce([bad for _, bad, *_ in checks])
-    out = []
-    for i, j in np.argwhere(flagged):
-        for kind, bad, child, magnitude, value, label in checks:
-            if bad[i, j]:
-                k = None if child is None else int(child[i, j])
-                message = messages[kind].format(value=value[i, j],
-                                                child=label(k) if label else None)
-                out.append(Violation(kind, (int(i), int(j)), k, float(magnitude[i, j]),
-                                     f"pair ({_pair_label(space, i, j)}) {message}"))
-    return out
 
 
 def outcome(f, *args):
@@ -142,6 +110,14 @@ def mendelian_36(seed):
     return mendelian_coefficients(SPACE_36, Distribution(SPACE_36, np.concatenate([half, half])))
 
 
+def own_sets(values, support=None):
+    """``_pair_violations``' ``rows, support, of_pair`` for (m, m, 2m) arrays
+    whose every pair is its own set."""
+    m = values.shape[0]
+    return (values.reshape(m * m, -1), None if support is None else support.reshape(m * m, -1),
+            np.arange(m * m).reshape(m, m))
+
+
 def perturbed(gen, coeffs, count, scales=(1e-9, 1e-5, 1e-3, 0.05)):
     out = coeffs.copy()
     flat = out.reshape(-1)
@@ -164,9 +140,10 @@ def test_pair_violations_match_the_whole_array_formula(block_bytes, seed):
         coeffs = perturbed(gen, t.coefficients, count)
         for weights in ((0.5, 0.5), (0.3, 0.7)):
             for support in (t.support, None):
-                args = (SPACE_36, coeffs, tol, 2.0, weights, VALIDATE_MESSAGES, support)
-                assert_same_violations(operators._pair_violations(*args),
-                                       whole_array_pair_violations(*args))
+                args = (tol, 2.0, weights, VALIDATE_MESSAGES)
+                assert_same_violations(
+                    operators._pair_violations(SPACE_36, *own_sets(coeffs, support), *args),
+                    whole_array_pair_violations(SPACE_36, coeffs, *args, support))
     bad = qso.HeredityTensor(SPACE_36, (0.5, 0.5), coeffs, t.support)
     report = validate_pq(bad)
     assert {v.kind for v in report.violations} == {"negative", "normalization", "ratio",
@@ -182,10 +159,10 @@ def test_family_validate_keeps_nan_rows_out_of_the_blocked_checks(block_bytes):
     messages = {"negative": "has negative value {value}",
                 "normalization": "sums to {value}, expected 1",
                 "ratio": "female/male children differ by {value}"}
-    args = (SPACE_36, mu, 1e-6, 1.0, (1.0, 1.0), messages)
+    args = (1e-6, 1.0, (1.0, 1.0), messages)
     with np.errstate(invalid="ignore"):
-        assert_same_violations(operators._pair_violations(*args),
-                               whole_array_pair_violations(*args))
+        assert_same_violations(operators._pair_violations(SPACE_36, *own_sets(mu), *args),
+                               whole_array_pair_violations(SPACE_36, mu, *args))
     assert MeasureFamily(SPACE_36, mu).validate(1e-6)
 
 
@@ -276,6 +253,18 @@ def test_blocked_checks_hold_few_blocks_at_m_64():
     assert validate <= held + slack
     assert reduce <= held + q.p.nbytes + slack
     assert max(construct, validate) < dense / 2
+
+
+def test_a_dense_tensor_reads_its_own_arrays_as_sets():
+    # a dense tensor's offspring-set rows are views of its arrays, one row per
+    # pair, so giving every tensor the set form adds no full-size copy
+    t = qso.nonmendelian_coefficients(SPACE_36, random_symmetric_family(rng(770), SPACE_36))
+    rows, members, of_pair = t._sets
+    assert np.shares_memory(rows, t.coefficients) and members is None
+    assert np.array_equal(of_pair.reshape(-1), np.arange(SPACE_36.m ** 2))
+    mendel = mendelian_36(0)
+    dense = qso.HeredityTensor(SPACE_36, (0.5, 0.5), mendel.coefficients, mendel.support)
+    assert np.shares_memory(dense._sets[1], dense.support)
 
 
 def blocked_finite_scan(arr, what, error, nan_ok):

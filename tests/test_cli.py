@@ -395,9 +395,9 @@ def test_validate_reports_a_row_sum_that_overflows(capsys, tmp_path):
 
 
 # a space of 16 biallelic components needs a 4 PiB family array (NumPy's
-# MemoryError) and one of 20 more bytes than an array can hold (its
-# "array is too big" ValueError); no smaller size may be used, since 9
-# components already fill gigabytes
+# MemoryError) and one of 20 more bytes than an array can hold, which the
+# reader refuses at the ``# space:`` line; no smaller size may be used, since
+# 9 components already fill gigabytes
 @pytest.mark.parametrize("components", [16, 20])
 @pytest.mark.parametrize("command", ["validate", "ingest", "fixpoint"])
 def test_a_space_too_large_to_hold_is_one_error_line(tmp_path, components, command):
@@ -409,8 +409,9 @@ def test_a_space_too_large_to_hold_is_one_error_line(tmp_path, components, comma
             "fixpoint": ["fixpoint", "--coeff-file", str(path)]}[command]
     proc = subprocess.run([sys.executable, "-m", "qso", *argv], capture_output=True, text=True)
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    # the 20-component space is refused at its own line, before any label is built
+    assert proc.stderr.startswith("error: line " if components == 20 else "error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_bad_random_seed_is_one_error_line(capsys):

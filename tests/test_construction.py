@@ -32,7 +32,13 @@ from qso.errors import ChildAsymmetry, ZeroMassOffspringSet
 from qso.operators import VALIDATE_TOL
 from qso.operators import reduce as reduce_tensor
 
-from helpers import random_pq_tensor, random_simplex, random_symmetric_family, rng
+from helpers import (
+    random_pq_tensor,
+    random_simplex,
+    random_symmetric_family,
+    rng,
+    whole_array_pair_violations,
+)
 
 
 def per_pair_mendelian(space, mu0):
@@ -199,10 +205,18 @@ def reduced_bytes(t):
         return str(e)
 
 
+VALIDATE_PQ_MESSAGES = {"negative": "has negative coefficient {value}",
+                        "normalization": "sums to {value}, expected 2.0",
+                        "ratio": "child {child} breaks the 0.5:0.5 ratio by {value}",
+                        "support": "has mass {value} on excluded child {child}"}
+
+
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_set_form_reads_as_its_dense_copy(name):
     # a Mendelian tensor holds one row per offspring set and the set of each
-    # pair; every reader must see what the tensor of its dense arrays holds
+    # pair; every reader must see what the tensor of its dense arrays holds.
+    # Both run the same set-form code, so the whole-array checks and the
+    # dense symmetrized female block are the independent oracles
     space = build_space(SPACES[name])
     gen = rng(len(name) + 2000 * space.m)
     bases = [random_base(gen, space)]
@@ -230,13 +244,31 @@ def test_set_form_reads_as_its_dense_copy(name):
             expected = validate_pq(dense, tol)
             assert report == expected
             assert_same_violations(report.violations, expected.violations)
+            assert_same_violations(report.violations, whole_array_pair_violations(
+                space, t.coefficients, tol, 2.0, (0.5, 0.5), VALIDATE_PQ_MESSAGES,
+                t.support))
         assert p == reduced_bytes(dense)
+        fem = t.coefficients[:, :, :space.m]
+        if isinstance(p, bytes):
+            assert p == (0.5 * (fem + fem.transpose(1, 0, 2))).tobytes()
+        else:  # the gap check's message names the largest female/male gap
+            gap = np.abs(fem - t.coefficients[:, :, space.m:]).max()
+            assert p == f"female/male child coefficients differ by {gap}"
         for (i, j, s), (value, full) in zip(cells, values):
             assert value == full == dense.coefficients[i, j, s]
         for twin in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
             assert twin.coefficients.tobytes() == dense.coefficients.tobytes()
             assert twin.support.tobytes() == dense.support.tobytes()
             assert (twin.space, twin.p_ratio) == (space, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_mendelian_set_index_is_symmetric_in_the_parents(name):
+    # reduce pairs each set with the set of the transposed pairs, which is
+    # one set only if the index commutes with transposition
+    space = build_space(SPACES[name])
+    of_pair = mendelian_coefficients(space, random_base(rng(space.m), space))._sets[2]
+    assert np.array_equal(of_pair, of_pair.T)
 
 
 def test_set_form_names_a_non_finite_coefficient_as_the_dense_tensor_does():
